@@ -6,18 +6,12 @@ the closed-form mu-minimization (18), the prox-based nu-minimization
 (19), the per-datacenter a-minimization (20) and the dual updates —
 plus the closed-form Gaussian back-substitution correction.
 
-:mod:`repro.admg.solver` drives them in matrix form; the
+:mod:`repro.admg.solver` drives them in matrix form, one slot at a
+time; it is the package tree's only ADM-G implementation.  The
 message-passing deployment over simulated agents lives in
 :mod:`repro.distributed` and reproduces this solver's iterates exactly.
 """
 
-from repro.admg.batch import (
-    a_minimization_batch,
-    correction_step_batch,
-    dual_updates_batch,
-    mu_minimization_batch,
-    nu_minimization_batch,
-)
 from repro.admg.solver import ADMGState, DistributedUFCSolver, UFCADMGResult
 from repro.admg.subproblems import (
     a_minimization,
@@ -33,14 +27,9 @@ __all__ = [
     "DistributedUFCSolver",
     "UFCADMGResult",
     "a_minimization",
-    "a_minimization_batch",
     "correction_step",
-    "correction_step_batch",
     "dual_updates",
-    "dual_updates_batch",
     "lambda_minimization",
     "mu_minimization",
-    "mu_minimization_batch",
     "nu_minimization",
-    "nu_minimization_batch",
 ]

@@ -102,30 +102,6 @@ class EmissionCostFunction(ABC):
         ``c_rate`` is the slot's carbon intensity in kg/MWh.
         """
 
-    def prox_nu_batch(
-        self,
-        c_rates: np.ndarray,
-        linear: np.ndarray,
-        d: np.ndarray,
-        rho: float,
-    ) -> np.ndarray:
-        """Vectorized :meth:`prox_nu` over stacked slots.
-
-        The default loops per element, so every subclass batches
-        correctly out of the box; the closed-form costs override it
-        with elementwise array arithmetic that is bit-identical to the
-        scalar prox per entry.
-        """
-        c_rates = np.asarray(c_rates, dtype=float)
-        linear = np.broadcast_to(np.asarray(linear, dtype=float), c_rates.shape)
-        d = np.broadcast_to(np.asarray(d, dtype=float), c_rates.shape)
-        return np.array(
-            [
-                self.prox_nu(float(c), float(li), float(dd), rho)
-                for c, li, dd in zip(c_rates, linear, d)
-            ]
-        )
-
     def nu_quadratic(self, c_rate: float) -> tuple[float, float] | None:
         """Coefficients ``(a, b)`` with ``V(c_rate * nu) = a nu^2 + b nu``
         (up to a constant), or None when ``V`` is not quadratic."""
@@ -146,13 +122,6 @@ class NoEmissionCost(EmissionCostFunction):
 
     def prox_nu(self, c_rate: float, linear: float, d: float, rho: float) -> float:
         return max(0.0, d - linear / rho)
-
-    def prox_nu_batch(
-        self, c_rates: np.ndarray, linear: np.ndarray, d: np.ndarray, rho: float
-    ) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        linear = np.asarray(linear, dtype=float)
-        return np.maximum(0.0, d - linear / rho)
 
     def nu_quadratic(self, c_rate: float) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -178,14 +147,6 @@ class LinearCarbonTax(EmissionCostFunction):
 
     def prox_nu(self, c_rate: float, linear: float, d: float, rho: float) -> float:
         return max(0.0, d - (linear + self._rate_per_kg * c_rate) / rho)
-
-    def prox_nu_batch(
-        self, c_rates: np.ndarray, linear: np.ndarray, d: np.ndarray, rho: float
-    ) -> np.ndarray:
-        c_rates = np.asarray(c_rates, dtype=float)
-        linear = np.asarray(linear, dtype=float)
-        d = np.asarray(d, dtype=float)
-        return np.maximum(0.0, d - (linear + self._rate_per_kg * c_rates) / rho)
 
     def nu_quadratic(self, c_rate: float) -> tuple[float, float]:
         return (0.0, self._rate_per_kg * c_rate)
@@ -327,16 +288,6 @@ class QuadraticEmissionCost(EmissionCostFunction):
         a = self.quad_per_kg2 * c_rate * c_rate
         b = self._rate_per_kg * c_rate + linear
         return max(0.0, (rho * d - b) / (2.0 * a + rho))
-
-    def prox_nu_batch(
-        self, c_rates: np.ndarray, linear: np.ndarray, d: np.ndarray, rho: float
-    ) -> np.ndarray:
-        c_rates = np.asarray(c_rates, dtype=float)
-        linear = np.asarray(linear, dtype=float)
-        d = np.asarray(d, dtype=float)
-        a = self.quad_per_kg2 * c_rates * c_rates
-        b = self._rate_per_kg * c_rates + linear
-        return np.maximum(0.0, (rho * d - b) / (2.0 * a + rho))
 
     def nu_quadratic(self, c_rate: float) -> tuple[float, float]:
         return (self.quad_per_kg2 * c_rate * c_rate, self._rate_per_kg * c_rate)

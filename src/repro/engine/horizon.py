@@ -280,8 +280,30 @@ def _certify_result(
     certifier: Any, problem: UFCProblem, result: SlotResult, solver_name: str,
     index: int,
 ) -> Any:
-    """The slot's certificate (solver duals preferred when shipped)."""
-    duals = result.extras.get("duals") if result.extras else None
+    """The slot's certificate (solver duals preferred when shipped).
+
+    A result carrying ``extras["structured_qp"]`` holds its duals in the
+    reduced (reach-restricted) layout, which only
+    :func:`~repro.obs.certify.certify_structured_solution` can read; the
+    certifier's tolerances still apply.
+    """
+    extras = result.extras or {}
+    duals = extras.get("duals")
+    sqp = extras.get("structured_qp")
+    if sqp is not None:
+        from repro.obs.certify import (
+            DEFAULT_FEAS_TOL,
+            DEFAULT_KKT_TOL,
+            certify_structured_solution,
+        )
+
+        return certify_structured_solution(
+            sqp, problem, result.allocation,
+            x=extras.get("structured_x"), duals=duals,
+            solver=solver_name, slot=index,
+            feas_tol=getattr(certifier, "feas_tol", DEFAULT_FEAS_TOL),
+            kkt_tol=getattr(certifier, "kkt_tol", DEFAULT_KKT_TOL),
+        )
     return certifier.certify(
         problem, result.allocation, duals=duals, solver=solver_name, slot=index
     )

@@ -18,27 +18,23 @@ interior-point reference solver:
 - :mod:`repro.optim.ipqp` — a dense Mehrotra predictor-corrector
   primal-dual interior-point solver for convex QPs, used as the
   centralized reference the distributed algorithm is checked against.
-- :mod:`repro.optim.admm` — a generic m-block ADMM engine.
-- :mod:`repro.optim.admg` — the generic ADM-G engine (ADMM with
-  Gaussian back substitution, He-Tao-Yuan 2012).
-- :mod:`repro.optim.batch` — batched cross-slot kernels: a masked
-  batched interior-point method over stacked ``(T, n, n)`` QPs, plus
-  row-wise simplex projection and batched rank-one QP solves.
+- :mod:`repro.optim.warm` — cross-slot warm starts for that solver:
+  active-set reuse, then the same Mehrotra loop from a shifted start.
+- :mod:`repro.optim.batch` — one masked Mehrotra iteration over T
+  stacked slot QPs that share one constraint structure.
 - :mod:`repro.optim.kkt` — the block-sparse representation of the UFC
   QP (:class:`StructuredSlotQP`) and a Mehrotra solver whose Newton
   systems are solved by block elimination into a small dense Schur
   complement, making hyperscale instances (hundreds of datacenters,
   thousands of front-ends) tractable.
+
+There is one Mehrotra loop per KKT backend: dense LU (``ipqp``, shared
+by the cold and warm solves), batched shared structure (``batch``) and
+block elimination (``kkt``).  The paper's ADM-G itself lives in
+:mod:`repro.admg`.
 """
 
-from repro.optim.admg import ADMGEngine, ADMGResult
-from repro.optim.admm import ADMMBlock, ADMMEngine, ADMMResult
-from repro.optim.batch import (
-    BatchIPQPResult,
-    project_simplex_batch,
-    solve_capped_rank_one_qp_batch,
-    solve_qp_batch,
-)
+from repro.optim.batch import BatchIPQPResult, solve_qp_batch
 from repro.optim.ipqp import IPQPResult, solve_qp
 from repro.optim.kkt import (
     StructuredIPQPResult,
@@ -59,11 +55,6 @@ from repro.optim.simplex import minimize_qp_simplex, project_box, project_simple
 from repro.optim.warm import WarmSolve, WarmSolveInfo, WarmState, solve_qp_warm
 
 __all__ = [
-    "ADMGEngine",
-    "ADMGResult",
-    "ADMMBlock",
-    "ADMMEngine",
-    "ADMMResult",
     "BatchIPQPResult",
     "IPQPResult",
     "PiecewiseLinearConvex",
@@ -80,10 +71,8 @@ __all__ = [
     "minimize_qp_simplex",
     "project_box",
     "project_simplex",
-    "project_simplex_batch",
     "prox_nonneg",
     "solve_capped_rank_one_qp",
-    "solve_capped_rank_one_qp_batch",
     "solve_qp",
     "solve_qp_batch",
     "solve_qp_warm",

@@ -1,46 +1,35 @@
-"""Batched solver kernels over stacked slot instances.
+"""Batched interior-point solves over slot instances sharing one structure.
 
 The horizon's T slot QPs are independent and share one compiled
-structure — only the parameter vectors differ hour to hour.  Solving
-them one by one pays the Python/numpy dispatch overhead of every small
-linear-algebra call T times per iteration; stacking them into
-``(T, n, n)`` arrays and driving one *masked* Mehrotra iteration over
-the whole batch pays it once.  This module provides
+constraint structure — only the parameter vectors differ hour to hour.
+Solving them one by one pays the Python/numpy dispatch overhead of
+every small linear-algebra call T times per iteration; stacking them
+into ``(T, n, n)`` arrays and driving one *masked* Mehrotra iteration
+over the whole batch pays it once.
 
-- :func:`solve_qp_batch` — a batched Mehrotra predictor-corrector
-  interior-point method on stacked KKT systems (batched
-  ``numpy.linalg.solve``), with per-instance step lengths, per-instance
-  convergence masking (converged instances are frozen and the active
-  set shrinks as the batch drains), batched Ruiz equilibration, and a
-  per-instance fallback to the scalar :func:`~repro.optim.ipqp.solve_qp`
-  for instances that fail to converge;
-- :func:`project_simplex_batch` — row-wise simplex projection over
-  ``(T, M)`` matrices (each row bit-identical to the scalar call);
-- :func:`solve_capped_rank_one_qp_batch` — the ADM-G per-datacenter
-  ``a``-minimization solved for T slots at once with a vectorized
-  sort-based support sweep (bit-identical to the scalar solver per row).
+:func:`solve_qp_batch` is that iteration: per-instance step lengths,
+per-instance convergence masking (converged instances are frozen and
+the active set shrinks as the batch drains), factored Ruiz
+equilibration, and a per-instance fallback to the scalar
+:func:`~repro.optim.ipqp.solve_qp` for instances that fail to converge.
+Its convergence test and step rules are the dense loop's, per
+instance, but the batched matmuls, the Schur-complement Newton solve
+and the coordinate-form equilibration sweeps round differently from
+the scalar matvecs, so batched solutions agree with the scalar path to
+solver tolerance rather than bit-for-bit.
 
-Every batched kernel replicates the scalar kernel's arithmetic
-*per instance* where the operation order allows it (projections and the
-rank-one sweep are bit-identical per row); the interior-point iteration
-itself uses batched matmuls and — when all instances share one
-constraint structure, the compiled-horizon case — a Schur-complement
-Newton solve and coordinate-form equilibration sweeps whose BLAS paths
-round differently from the scalar matvecs, so batched IPQP solutions
-agree with the scalar path to solver tolerance rather than bit-for-bit.
-
-The shared-structure fast path exploits three facts about compiled
-horizon batches: the constraint matrices are literally the same arrays
-for every slot (so residuals collapse to single dgemms against the
-shared matrix, with per-instance Ruiz scalings carried as factored
-row/column vectors), most inequality rows are single-nonzero variable
-bounds (so the ``G^T W G`` term of the condensed KKT splits into a
-cheap diagonal scatter plus a tiny dense-row product), and the Hessians
-are sparse (so equilibration sweeps touch only the nonzero
-coordinates).  The Newton system is then solved by eliminating the
-equality block: factor the n-by-n condensed matrix once per
-predictor/corrector solve and form the small p-by-p Schur complement,
-instead of factoring the full (n+p) KKT.
+The iteration exploits three facts about compiled horizon batches: the
+constraint matrices are literally the same arrays for every slot (so
+residuals collapse to single dgemms against the shared matrix, with
+per-instance Ruiz scalings carried as factored row/column vectors),
+most inequality rows are single-nonzero variable bounds (so the
+``G^T W G`` term of the condensed KKT splits into a cheap diagonal
+scatter plus a tiny dense-row product), and the Hessians are sparse
+(so equilibration sweeps touch only the nonzero coordinates).  The
+Newton system is then solved by eliminating the equality block: factor
+the n-by-n condensed matrix once per predictor/corrector solve and form
+the small p-by-p Schur complement, instead of factoring the full (n+p)
+KKT.
 """
 
 from __future__ import annotations
@@ -50,14 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.optim.ipqp import IPQPResult, solve_qp
-from repro.optim.simplex import project_simplex
 
-__all__ = [
-    "BatchIPQPResult",
-    "solve_qp_batch",
-    "project_simplex_batch",
-    "solve_capped_rank_one_qp_batch",
-]
+__all__ = ["BatchIPQPResult", "solve_qp_batch"]
 
 
 @dataclass(frozen=True)
@@ -103,197 +86,6 @@ class BatchIPQPResult:
             converged=bool(self.converged[t]),
             gap=float(self.gap[t]),
         )
-
-
-def project_simplex_batch(
-    v: np.ndarray, total: float | np.ndarray = 1.0
-) -> np.ndarray:
-    """Row-wise simplex projection of a ``(T, n)`` batch.
-
-    Each row is projected onto ``{x >= 0, sum(x) = total}`` with the
-    exact arithmetic of the 1-D :func:`~repro.optim.simplex.project_simplex`
-    (bit-identical per row); ``total`` may be a scalar or a (T,) vector
-    of per-row totals.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2:
-        raise ValueError(f"expected a 2-d batch, got shape {v.shape}")
-    return project_simplex(v, total)
-
-
-def solve_capped_rank_one_qp_batch(
-    c: np.ndarray, rho: float, beta: float, cap: float | np.ndarray
-) -> np.ndarray:
-    """Batched exact solve of the capped diagonal-plus-rank-one QP.
-
-    Row ``t`` minimizes ``rho/2 ||a||^2 + rho*beta^2/2 (sum a)^2 -
-    c[t]^T a`` subject to ``sum(a) <= cap_t`` and ``a >= 0`` — the
-    ADM-G per-datacenter ``a``-minimization for T slots at once.  The
-    sort-based support sweep of
-    :func:`~repro.optim.rank_one.solve_capped_rank_one_qp` is
-    vectorized over rows with identical arithmetic, so every row is
-    bit-identical to the scalar call.
-
-    Args:
-        c: (T, n) linear reward coefficients, one slot per row.
-        rho: positive quadratic curvature (the ADMM penalty).
-        beta: the rank-one coupling coefficient; shared by all rows.
-        cap: non-negative total capacity, scalar or per-row (T,).
-
-    Returns:
-        The (T, n) stack of unique minimizers.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2:
-        raise ValueError(f"expected a 2-d batch, got shape {c.shape}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    rows, n = c.shape
-    caps = np.broadcast_to(np.asarray(cap, dtype=float), (rows,))
-    if (caps < 0).any():
-        raise ValueError(f"cap must be non-negative, got {caps.min()}")
-    if n == 0 or rows == 0:
-        return np.zeros((rows, n))
-
-    beta2 = float(beta) * float(beta)
-    # Uncapped support sweep: for support size k (the k largest c_i),
-    # T_k = prefix_k / (rho (1 + k beta^2)); the support is correct when
-    # the k-th largest exceeds rho beta^2 T_k and the (k+1)-th does not.
-    order = np.argsort(c, axis=1)[:, ::-1]
-    sorted_c = np.take_along_axis(c, order, axis=1)
-    prefix = np.cumsum(sorted_c, axis=1)
-    ks = np.arange(1, n + 1)
-    threshold = rho * beta2 * (prefix / (rho * (1.0 + ks * beta2)))
-    next_c = np.concatenate(
-        [sorted_c[:, 1:], np.full((rows, 1), -np.inf)], axis=1
-    )
-    cond = (sorted_c > threshold) & (next_c <= threshold)
-    # The scalar sweep scans k from n down and takes the first valid
-    # support, i.e. the largest k with cond; rows with none stay zero.
-    has_support = cond.any(axis=1)
-    k_idx = np.where(
-        has_support, n - 1 - np.argmax(cond[:, ::-1], axis=1), -1
-    )
-    thr = threshold[np.arange(rows), np.maximum(k_idx, 0)]
-    active = np.arange(n)[None, :] <= k_idx[:, None]
-    a_sorted = np.where(active, (sorted_c - thr[:, None]) / rho, 0.0)
-    a = np.zeros((rows, n))
-    np.put_along_axis(a, order, a_sorted, axis=1)
-
-    # Capacity binds: the rank-one term becomes a constant linear shift
-    # and the problem reduces to a scaled-simplex projection.
-    total = a.sum(axis=1)
-    over = total > caps
-    if over.any():
-        v = (c[over] - rho * beta2 * caps[over, None]) / rho
-        a[over] = project_simplex(v, caps[over])
-    return a
-
-
-def _stack_constraints(
-    M: np.ndarray | None,
-    r: np.ndarray | None,
-    batch: int,
-    n: int,
-    name: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a constraint block to stacked ``(T, rows, n)``/``(T, rows)``.
-
-    The matrix may be shared (2-D, broadcast across the batch) or
-    per-instance (3-D); the right-hand side likewise 1-D or 2-D.
-    """
-    if M is None or np.size(M) == 0:
-        return np.zeros((batch, 0, n)), np.zeros((batch, 0))
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 2:
-        M = np.broadcast_to(M, (batch,) + M.shape)
-    if M.ndim != 3 or M.shape[0] != batch or M.shape[2] != n:
-        raise ValueError(
-            f"{name} shape {M.shape} incompatible with batch {batch} "
-            f"and n {n}"
-        )
-    rows = M.shape[1]
-    if r is None:
-        raise ValueError(f"{name} given without its right-hand side")
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 1:
-        r = np.broadcast_to(r, (batch, len(r)))
-    if r.shape != (batch, rows):
-        raise ValueError(
-            f"rhs shape {r.shape} incompatible with {name} rows {rows}"
-        )
-    return M, r
-
-
-def _ruiz_equilibrate_batch(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    iterations: int = 15,
-) -> tuple[np.ndarray, ...]:
-    """Batched Ruiz equilibration, instance-for-instance identical to
-    the scalar :func:`~repro.optim.ipqp._ruiz_equilibrate` (same sweep
-    count, same row/column scaling order, same objective
-    normalization)."""
-    batch, n = q.shape
-    p_rows, m_rows = A.shape[1], G.shape[1]
-    d = np.ones((batch, n))
-    r_a = np.ones((batch, p_rows))
-    r_g = np.ones((batch, m_rows))
-    P = np.array(P, dtype=float, copy=True)
-    A = np.array(A, dtype=float, copy=True)
-    G = np.array(G, dtype=float, copy=True)
-    for _ in range(iterations):
-        col_norm = np.abs(P).max(axis=1)
-        if p_rows:
-            np.maximum(col_norm, np.abs(A).max(axis=1), out=col_norm)
-        if m_rows:
-            np.maximum(col_norm, np.abs(G).max(axis=1), out=col_norm)
-        col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
-        # Exactly-zero columns/rows keep scale 1, matching the scalar
-        # equilibration: the clamp would compound 1e6 per sweep and
-        # blow up the scaled data (see _ruiz_equilibrate).
-        col_scale[col_norm == 0.0] = 1.0
-        P *= col_scale[:, :, None]
-        P *= col_scale[:, None, :]
-        A *= col_scale[:, None, :]
-        G *= col_scale[:, None, :]
-        d *= col_scale
-        if p_rows:
-            row_norm = np.abs(A).max(axis=2)
-            row_scale = 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
-            row_scale[row_norm == 0.0] = 1.0
-            A *= row_scale[:, :, None]
-            r_a *= row_scale
-        if m_rows:
-            row_norm = np.abs(G).max(axis=2)
-            row_scale = 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
-            row_scale[row_norm == 0.0] = 1.0
-            G *= row_scale[:, :, None]
-            r_g *= row_scale
-    q_scaled = d * q
-    gamma = np.maximum(
-        1e-12,
-        np.maximum(
-            np.abs(q_scaled).max(axis=1, initial=0.0),
-            np.abs(P).max(axis=(1, 2), initial=0.0),
-        ),
-    )
-    return (
-        P / gamma[:, None, None],
-        q_scaled / gamma[:, None],
-        A,
-        r_a * b,
-        G,
-        r_g * h,
-        d,
-        r_a,
-        r_g,
-        gamma,
-    )
 
 
 def _bmv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -530,14 +322,16 @@ def _ip_iterate_shared(
 ) -> tuple[np.ndarray, ...]:
     """Masked Mehrotra iteration for batches sharing one structure.
 
-    Same iteration, convergence test and freeze-drain masking as
-    :func:`_ip_iterate_batch`, restructured around the shared
-    constraint matrices: the per-instance Ruiz scalings stay factored
-    (``A_t = diag(r_a[t]) A0 diag(d[t])`` and likewise for ``G``), so
-    constraint products are single dgemms against the shared matrix,
-    and each Newton system is solved by eliminating the equality block
-    — factor the condensed n-by-n matrix, then a p-by-p Schur
-    complement — instead of factoring the (n+p) KKT.  A primal warm
+    The dense loop's (:func:`~repro.optim.ipqp._mehrotra`) convergence
+    test and predictor-corrector step rules, per instance, with
+    converged instances frozen and dropped from the working arrays so
+    the per-iteration cost tracks the active set.  It is built around
+    the shared constraint matrices: the per-instance Ruiz scalings stay
+    factored (``A_t = diag(r_a[t]) A0 diag(d[t])`` and likewise for
+    ``G``), so constraint products are single dgemms against the shared
+    matrix, and each Newton system is solved by eliminating the
+    equality block — factor the condensed n-by-n matrix, then a p-by-p
+    Schur complement — instead of factoring the (n+p) KKT.  A primal warm
     start (the equality-regularized ``W = I`` solve) replaces the cold
     ``x = 0`` start; it typically removes a few interior-point
     iterations and never changes what convergence means.
@@ -730,143 +524,33 @@ def _ip_iterate_shared(
     return x_out, y_out, z_out, iters, conv, gap_out
 
 
-def _ip_iterate_batch(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, ...]:
-    """Masked Mehrotra predictor-corrector over the stacked instances.
-
-    Instances that meet the scalar solver's convergence test are frozen
-    (their state copied out, their rows dropped from every working
-    array) so the per-iteration cost tracks the *active* set, not the
-    batch size.  Requires ``m >= 1`` inequality rows (the callers
-    handle the equality-only and unconstrained cases in closed form).
-
-    Returns:
-        ``(x, y, z, iterations, converged, gap)`` stacked over the full
-        batch.
-    """
-    batch, n = q.shape
-    p = A.shape[1]
-    m = G.shape[1]
-
-    x_out = np.zeros((batch, n))
-    y_out = np.zeros((batch, p))
-    z_out = np.zeros((batch, m))
-    iters = np.full(batch, max_iter, dtype=int)
-    conv = np.zeros(batch, dtype=bool)
-    gap_out = np.zeros(batch)
-
-    idx = np.arange(batch)
-    x = np.zeros((batch, n))
-    y = np.zeros((batch, p))
-    s = np.maximum(h, 1.0)  # h - G @ 0, exactly as the scalar init
-    z = np.ones((batch, m))
-    scale = 1.0 + np.maximum(
-        np.abs(q).max(axis=1, initial=0.0),
-        np.maximum(
-            np.abs(h).max(axis=1, initial=0.0),
-            np.abs(b).max(axis=1, initial=0.0),
-        ),
-    )
-    Pw, qw, Aw, bw, Gw, hw = P, q, A, b, G, h
-    At = np.swapaxes(Aw, 1, 2)
-    Gt = np.swapaxes(Gw, 1, 2)
-    reg = 1e-10 * np.eye(n + p)
-
-    for it in range(1, max_iter + 1):
-        r_dual = _bmv(Pw, x) + qw + _bmv(At, y) + _bmv(Gt, z)
-        r_eq = _bmv(Aw, x) - bw
-        r_ineq = _bmv(Gw, x) + s - hw
-        mu = (s * z).sum(axis=1) / m
-
-        done = (
-            (np.abs(r_dual).max(axis=1) < tol * scale)
-            & (np.abs(r_ineq).max(axis=1) < tol * scale)
-            & (mu < tol * scale)
+def _shared_rows(
+    M: np.ndarray | None,
+    r: np.ndarray | None,
+    batch: int,
+    n: int,
+    name: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A shared ``(rows, n)`` constraint matrix and its ``(T, rows)``
+    right-hand side (a 1-D one is broadcast); a missing or empty matrix
+    gives zero rows."""
+    if M is None or np.size(M) == 0:
+        return np.zeros((0, n)), np.zeros((batch, 0))
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[1] != n:
+        raise ValueError(
+            f"{name} must be one shared (rows, {n}) matrix, got shape {M.shape}"
         )
-        if p:
-            done &= np.abs(r_eq).max(axis=1) < tol * scale
-        if done.any():
-            fin = idx[done]
-            x_out[fin] = x[done]
-            y_out[fin] = y[done]
-            z_out[fin] = z[done]
-            iters[fin] = it
-            conv[fin] = True
-            gap_out[fin] = mu[done]
-            keep = ~done
-            if not keep.any():
-                idx = idx[:0]
-                break
-            idx = idx[keep]
-            Pw, qw, Aw, bw = Pw[keep], qw[keep], Aw[keep], bw[keep]
-            Gw, hw, scale = Gw[keep], hw[keep], scale[keep]
-            At = np.swapaxes(Aw, 1, 2)
-            Gt = np.swapaxes(Gw, 1, 2)
-            x, y, s, z = x[keep], y[keep], s[keep], z[keep]
-            r_dual, r_eq, r_ineq = r_dual[keep], r_eq[keep], r_ineq[keep]
-            mu = mu[keep]
-
-        k = idx.size
-        w = z / s
-        kkt = np.zeros((k, n + p, n + p))
-        kkt[:, :n, :n] = Pw + Gt @ (w[:, :, None] * Gw)
-        if p:
-            kkt[:, :n, n:] = At
-            kkt[:, n:, :n] = Aw
-            diag = np.einsum("kii->ki", kkt[:, n:, n:])
-            diag[...] = -1e-12
-
-        def solve_newton(r_comp: np.ndarray) -> tuple[np.ndarray, ...]:
-            rhs_x = -r_dual - _bmv(Gt, (r_comp + z * r_ineq) / s)
-            rhs = np.concatenate([rhs_x, -r_eq], axis=1)
-            sol = _solve_checked(kkt, rhs[:, :, None], reg)[:, :, 0]
-            dx = sol[:, :n]
-            dy = sol[:, n:]
-            ds = -r_ineq - _bmv(Gw, dx)
-            dz = (r_comp - z * ds) / s
-            return dx, dy, ds, dz
-
-        # Affine (predictor) direction, per-instance step lengths.
-        dx_a, dy_a, ds_a, dz_a = solve_newton(-s * z)
-        alpha_p = _step_length_batch(s, ds_a, fraction=1.0)
-        alpha_d = _step_length_batch(z, dz_a, fraction=1.0)
-        mu_aff = (
-            (s + alpha_p[:, None] * ds_a) * (z + alpha_d[:, None] * dz_a)
-        ).sum(axis=1) / m
-        sigma = np.zeros(k)
-        pos = mu > 0
-        np.divide(mu_aff, mu, out=sigma, where=pos)
-        sigma = np.where(pos, sigma**3, 0.0)
-
-        # Corrector direction, one common primal/dual step per instance
-        # (same cycling-avoidance rationale as the scalar solver).
-        r_comp = -s * z + sigma[:, None] * mu[:, None] - ds_a * dz_a
-        dx, dy, ds, dz = solve_newton(r_comp)
-        alpha = np.minimum(
-            _step_length_batch(s, ds), _step_length_batch(z, dz)
+    if r is None:
+        raise ValueError(f"{name} given without its right-hand side")
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 1:
+        r = np.broadcast_to(r, (batch, len(r)))
+    if r.shape != (batch, M.shape[0]):
+        raise ValueError(
+            f"rhs shape {r.shape} incompatible with {name} rows {M.shape[0]}"
         )
-
-        x = x + alpha[:, None] * dx
-        s = s + alpha[:, None] * ds
-        y = y + alpha[:, None] * dy
-        z = z + alpha[:, None] * dz
-
-    if idx.size:
-        # Instances still active at the cap: report the final iterate,
-        # unconverged, exactly like the scalar solver.
-        x_out[idx] = x
-        y_out[idx] = y
-        z_out[idx] = z
-        gap_out[idx] = (s * z).sum(axis=1) / m
-    return x_out, y_out, z_out, iters, conv, gap_out
+    return M, r
 
 
 def solve_qp_batch(
@@ -878,42 +562,36 @@ def solve_qp_batch(
     h: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 100,
-    equilibrate: bool = True,
-    fallback_scalar: bool = True,
 ) -> BatchIPQPResult:
     """Solve T independent convex QPs in one masked batched iteration.
 
     Instance ``t`` solves ``min 0.5 x^T P_t x + q_t^T x`` subject to
-    ``A_t x = b_t`` and ``G_t x <= h_t``.  All instances must share one
-    shape ``(n, p, m)``; constraint matrices may be passed once (2-D,
-    shared by the whole batch — the compiled-structure case) or stacked
-    per instance (3-D).  The convergence test, initialization,
-    equilibration and step rules mirror the scalar
+    ``A x = b_t`` and ``G x <= h_t``: the constraint matrices are shared
+    by the whole batch (the compiled-structure case) and only the
+    right-hand sides vary per instance.  The convergence test,
+    initialization and step rules mirror the scalar
     :func:`~repro.optim.ipqp.solve_qp` per instance; converged
     instances are frozen mid-flight so stragglers don't pay for the
     drained majority.
 
     Instances the batched iteration fails to converge are re-solved by
-    the scalar solver (``fallback_scalar=True``, default), inheriting
-    its full semantics — including the raw-data retry after a failed
-    equilibrated solve — and flagged in the result's ``fallback`` mask.
+    the scalar solver, inheriting its full semantics — including the
+    raw-data retry after a failed equilibrated solve — and flagged in
+    the result's ``fallback`` mask.
 
     Args:
         P: (T, n, n) stacked Hessians, or (n, n) shared.
         q: (T, n) stacked linear terms (defines T and n).
-        A: optional equality matrix, (p, n) shared or (T, p, n).
+        A: optional shared (p, n) equality matrix.
         b: equality rhs, (p,) shared or (T, p); required with ``A``.
-        G: optional inequality matrix, (m, n) shared or (T, m, n).
-        h: inequality rhs, (m,) shared or (T, m); required with ``G``.
+        G: shared (m, n) inequality matrix with m >= 1.
+        h: inequality rhs, (m,) shared or (T, m).
         tol: per-instance convergence tolerance (scalar semantics).
         max_iter: per-instance iteration cap.
-        equilibrate: batched Ruiz equilibration (default, matching the
-            scalar solver's default).
-        fallback_scalar: re-solve non-converged instances with the
-            scalar solver (default True).
 
     Raises:
-        ValueError: on inconsistent shapes.
+        ValueError: on inconsistent shapes, per-instance 3-D constraint
+            stacks, or a missing or empty ``G``.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -926,218 +604,50 @@ def solve_qp_batch(
         raise ValueError(
             f"P shape {P.shape} incompatible with stacked q {q.shape}"
         )
-    # Shared-structure fast path: 2-D constraint matrices (the compiled
-    # horizon case) keep their Ruiz scalings factored and go through
-    # the Schur-complement iteration; per-instance 3-D stacks take the
-    # general dense path below.
-    shared = (
-        batch > 0
-        and G is not None
-        and np.ndim(G) == 2
-        and np.size(G) > 0
-        and (A is None or np.ndim(A) == 2)
-    )
-    if shared:
-        return _solve_shared(
-            P, q, A, b, G, h, tol, max_iter, equilibrate, fallback_scalar
-        )
-    A, b = _stack_constraints(A, b, batch, n, "A")
-    G, h = _stack_constraints(G, h, batch, n, "G")
-    p, m = A.shape[1], G.shape[1]
+    G0, h2 = _shared_rows(G, h, batch, n, "G")
+    if not len(G0):
+        raise ValueError("solve_qp_batch needs at least one inequality row")
+    A0, b2 = _shared_rows(A, b, batch, n, "A")
+    p, m = A0.shape[0], G0.shape[0]
 
-    if batch == 0:
-        empty = np.zeros(0)
-        return BatchIPQPResult(
-            x=np.zeros((0, n)), eq_dual=np.zeros((0, p)),
-            ineq_dual=np.zeros((0, m)), value=empty,
-            iterations=np.zeros(0, dtype=int),
-            converged=np.zeros(0, dtype=bool), gap=empty,
-            fallback=np.zeros(0, dtype=bool),
-        )
-
-    if m == 0 and p == 0:
-        x = np.linalg.solve(
-            P + 1e-12 * np.eye(n), -q[:, :, None]
-        )[:, :, 0]
-        return _finalize(P, q, x, np.zeros((batch, 0)), np.zeros((batch, 0)))
-    if m == 0:
-        # Pure equality-constrained instances: one batched KKT solve.
-        kkt = np.zeros((batch, n + p, n + p))
-        kkt[:, :n, :n] = P
-        kkt[:, :n, n:] = np.swapaxes(A, 1, 2)
-        kkt[:, n:, :n] = A
-        reg = 1e-12 * np.eye(n + p)
-        reg[n:, n:] *= -1.0
-        rhs = np.concatenate([-q, b], axis=1)
-        sol = np.linalg.solve(kkt + reg, rhs[:, :, None])[:, :, 0]
-        return _finalize(P, q, sol[:, :n], sol[:, n:], np.zeros((batch, 0)))
-
-    try:
-        if equilibrate:
-            (
-                P_s, q_s, A_s, b_s, G_s, h_s, d, r_a, r_g, gamma
-            ) = _ruiz_equilibrate_batch(P, q, A, b, G, h)
-            x_h, y_h, z_h, iters, conv, gap = _ip_iterate_batch(
-                P_s, q_s, A_s, b_s, G_s, h_s, tol, max_iter
+    x = np.zeros((batch, n))
+    y = np.zeros((batch, p))
+    z = np.zeros((batch, m))
+    iters = np.zeros(batch, dtype=int)
+    conv = np.zeros(batch, dtype=bool)
+    gap = np.zeros(batch)
+    if batch:
+        try:
+            d, r_a, r_g, gamma = _ruiz_scales_shared(P, q, A0, G0)
+            P_s = P * d[:, :, None]
+            P_s *= d[:, None, :]
+            P_s /= gamma[:, None, None]
+            x_h, y_h, z_h, iters, conv, gap = _ip_iterate_shared(
+                P_s, d * q / gamma[:, None], A0, r_a * b2, G0, r_g * h2,
+                d, r_a, r_g, tol, max_iter,
             )
             x = d * x_h
             y = gamma[:, None] * r_a * y_h
             z = gamma[:, None] * r_g * z_h
             gap = gap * gamma
-        else:
-            x, y, z, iters, conv, gap = _ip_iterate_batch(
-                P, q, A, b, G, h, tol, max_iter
-            )
-    except np.linalg.LinAlgError:
-        if not fallback_scalar:
-            raise
-        x = np.zeros((batch, n))
-        y = np.zeros((batch, p))
-        z = np.zeros((batch, m))
-        iters = np.zeros(batch, dtype=int)
-        conv = np.zeros(batch, dtype=bool)
-        gap = np.zeros(batch)
+        except np.linalg.LinAlgError:
+            pass  # every instance falls back to the scalar solver
 
-    fallback = np.zeros(batch, dtype=bool)
-    if fallback_scalar and not conv.all():
-        for t in np.nonzero(~conv)[0]:
-            res = solve_qp(
-                P[t], q[t],
-                A=A[t] if p else None, b=b[t] if p else None,
-                G=G[t] if m else None, h=h[t] if m else None,
-                tol=tol, max_iter=max_iter, equilibrate=equilibrate,
-            )
-            x[t], y[t], z[t] = res.x, res.eq_dual, res.ineq_dual
-            iters[t] = res.iterations
-            conv[t] = res.converged
-            gap[t] = res.gap
-            fallback[t] = True
-
-    result = _finalize(P, q, x, y, z)
-    return BatchIPQPResult(
-        x=result.x, eq_dual=result.eq_dual, ineq_dual=result.ineq_dual,
-        value=result.value, iterations=iters, converged=conv, gap=gap,
-        fallback=fallback,
-    )
-
-
-def _solve_shared(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray | None,
-    b: np.ndarray | None,
-    G: np.ndarray,
-    h: np.ndarray,
-    tol: float,
-    max_iter: int,
-    equilibrate: bool,
-    fallback_scalar: bool,
-) -> BatchIPQPResult:
-    """The shared-constraint-structure lane of :func:`solve_qp_batch`."""
-    batch, n = q.shape
-    G0 = np.asarray(G, dtype=float)
-    m = G0.shape[0]
-    if G0.shape[1] != n:
-        raise ValueError(
-            f"G shape {G0.shape} incompatible with stacked q {q.shape}"
+    fallback = ~conv
+    for t in np.nonzero(fallback)[0]:
+        res = solve_qp(
+            P[t], q[t],
+            A=A0 if p else None, b=b2[t] if p else None,
+            G=G0, h=h2[t],
+            tol=tol, max_iter=max_iter,
         )
-    if h is None:
-        raise ValueError("G given without its right-hand side")
-    h2 = np.asarray(h, dtype=float)
-    if h2.ndim == 1:
-        h2 = np.broadcast_to(h2, (batch, m))
-    if h2.shape != (batch, m):
-        raise ValueError(f"rhs shape {h2.shape} incompatible with G rows {m}")
-    if A is None or np.size(A) == 0:
-        A0 = np.zeros((0, n))
-        b2 = np.zeros((batch, 0))
-    else:
-        A0 = np.asarray(A, dtype=float)
-        if A0.shape[1] != n:
-            raise ValueError(
-                f"A shape {A0.shape} incompatible with stacked q {q.shape}"
-            )
-        if b is None:
-            raise ValueError("A given without its right-hand side")
-        b2 = np.asarray(b, dtype=float)
-        if b2.ndim == 1:
-            b2 = np.broadcast_to(b2, (batch, A0.shape[0]))
-        if b2.shape != (batch, A0.shape[0]):
-            raise ValueError(
-                f"rhs shape {b2.shape} incompatible with A rows {A0.shape[0]}"
-            )
-    p = A0.shape[0]
+        x[t], y[t], z[t] = res.x, res.eq_dual, res.ineq_dual
+        iters[t] = res.iterations
+        conv[t] = res.converged
+        gap[t] = res.gap
 
-    try:
-        if equilibrate:
-            d, r_a, r_g, gamma = _ruiz_scales_shared(P, q, A0, G0)
-            P_s = P * d[:, :, None]
-            P_s *= d[:, None, :]
-            P_s /= gamma[:, None, None]
-            q_s = d * q / gamma[:, None]
-            b_s = r_a * b2
-            h_s = r_g * h2
-        else:
-            d = np.ones((batch, n))
-            r_a = np.ones((batch, p))
-            r_g = np.ones((batch, m))
-            gamma = np.ones(batch)
-            P_s, q_s, b_s, h_s = P, q, b2, h2
-        x_h, y_h, z_h, iters, conv, gap = _ip_iterate_shared(
-            P_s, q_s, A0, b_s, G0, h_s, d, r_a, r_g, tol, max_iter
-        )
-        x = d * x_h
-        y = gamma[:, None] * r_a * y_h
-        z = gamma[:, None] * r_g * z_h
-        gap = gap * gamma
-    except np.linalg.LinAlgError:
-        if not fallback_scalar:
-            raise
-        x = np.zeros((batch, n))
-        y = np.zeros((batch, p))
-        z = np.zeros((batch, m))
-        iters = np.zeros(batch, dtype=int)
-        conv = np.zeros(batch, dtype=bool)
-        gap = np.zeros(batch)
-
-    fallback = np.zeros(batch, dtype=bool)
-    if fallback_scalar and not conv.all():
-        for t in np.nonzero(~conv)[0]:
-            res = solve_qp(
-                P[t], q[t],
-                A=A0 if p else None, b=b2[t] if p else None,
-                G=G0, h=h2[t],
-                tol=tol, max_iter=max_iter, equilibrate=equilibrate,
-            )
-            x[t], y[t], z[t] = res.x, res.eq_dual, res.ineq_dual
-            iters[t] = res.iterations
-            conv[t] = res.converged
-            gap[t] = res.gap
-            fallback[t] = True
-
-    result = _finalize(P, q, x, y, z)
-    return BatchIPQPResult(
-        x=result.x, eq_dual=result.eq_dual, ineq_dual=result.ineq_dual,
-        value=result.value, iterations=iters, converged=conv, gap=gap,
-        fallback=fallback,
-    )
-
-
-def _finalize(
-    P: np.ndarray,
-    q: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-) -> BatchIPQPResult:
-    """Assemble a result shell with objective values (closed-form paths
-    report 0 iterations, converged, zero gap)."""
-    batch = len(q)
     value = 0.5 * np.einsum("ti,tij,tj->t", x, P, x) + (q * x).sum(axis=1)
     return BatchIPQPResult(
-        x=x, eq_dual=y, ineq_dual=z, value=value,
-        iterations=np.zeros(batch, dtype=int),
-        converged=np.ones(batch, dtype=bool),
-        gap=np.zeros(batch),
-        fallback=np.zeros(batch, dtype=bool),
+        x=x, eq_dual=y, ineq_dual=z, value=value, iterations=iters,
+        converged=conv, gap=gap, fallback=fallback,
     )

@@ -13,7 +13,10 @@ the Grid / Fuel-cell baseline strategies directly).
 
 The implementation is dense and sized for the paper's scale
 (``M*N + 2N`` ~ tens of variables per time slot), trading sparsity for
-robustness and simplicity.
+robustness and simplicity.  Its Mehrotra loop (:func:`_mehrotra`) runs
+from any strictly interior start: :func:`solve_qp` starts it cold, and
+the warm-IPM rung of :func:`~repro.optim.warm.solve_qp_warm` starts it
+from the previous slot's shifted iterates.
 """
 
 from __future__ import annotations
@@ -265,49 +268,25 @@ def _record_metrics(metrics, iterations: int, converged: bool) -> None:
     ).observe(iterations)
 
 
-def solve_qp(
+def _as_qp(
     P: np.ndarray,
     q: np.ndarray,
-    A: np.ndarray | None = None,
-    b: np.ndarray | None = None,
-    G: np.ndarray | None = None,
-    h: np.ndarray | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-    equilibrate: bool = True,
-    trace: bool = False,
-    trace_every: int = 1,
-    metrics=None,
-) -> IPQPResult:
-    """Solve a dense convex QP with a Mehrotra predictor-corrector method.
-
-    ``P`` must be symmetric positive semidefinite.  Equality and
-    inequality blocks are each optional; with neither, the unconstrained
-    minimizer is returned via a linear solve.  By default the data is
-    Ruiz-equilibrated first, which makes the solver robust to badly
-    scaled problems (the UFC QP mixes workload variables ~1e4 with
-    power variables ~1 and couplings ~1e-4).  With ``trace=True`` the
-    result carries a per-iteration :class:`IPQPTrace` (duality gap,
-    KKT residual, step lengths); the iterates themselves are identical
-    with tracing on or off.  ``trace_every=k`` keeps only every k-th
-    iteration of the trace, bounding memory on long traced horizons.
-    ``metrics`` accepts a duck-typed
-    :class:`~repro.obs.metrics.MetricsRegistry` (anything with
-    ``counter``/``histogram``) and records solve counts, iteration
-    totals and an iteration histogram — once per outer solve, not per
-    equilibration retry.
+    A: np.ndarray | None,
+    b: np.ndarray | None,
+    G: np.ndarray | None,
+    h: np.ndarray | None,
+) -> tuple[np.ndarray, ...]:
+    """Validated float ``(P, q, A, b, G, h)``; a missing or empty
+    constraint block becomes a zero-row one.
 
     Raises:
         ValueError: on inconsistent shapes.
-        np.linalg.LinAlgError: if the KKT system is numerically singular
-            even after regularization.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
     n = len(q)
     if P.shape != (n, n):
         raise ValueError(f"P shape {P.shape} incompatible with q length {n}")
-
     if A is None or len(np.atleast_2d(A)) == 0 or (b is not None and len(b) == 0):
         A = np.zeros((0, n))
         b = np.zeros(0)
@@ -320,93 +299,45 @@ def solve_qp(
     else:
         G = np.atleast_2d(np.asarray(G, dtype=float))
         h = np.atleast_1d(np.asarray(h, dtype=float))
-    p, m = A.shape[0], G.shape[0]
     if A.shape[1] != n or G.shape[1] != n:
         raise ValueError("constraint matrices must have n columns")
-    if len(b) != p or len(h) != m:
+    if len(b) != A.shape[0] or len(h) != G.shape[0]:
         raise ValueError("rhs length mismatch")
+    return P, q, A, b, G, h
 
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
 
-    if m == 0 and p == 0:
-        x = np.linalg.solve(P + 1e-12 * np.eye(n), -q)
-        _record_metrics(metrics, 0, True)
-        return IPQPResult(
-            x=x,
-            eq_dual=np.zeros(0),
-            ineq_dual=np.zeros(0),
-            value=float(0.5 * x @ P @ x + q @ x),
-            iterations=0,
-            converged=True,
-            gap=0.0,
-            trace=IPQPTrace() if trace else None,
-        )
-    if m == 0:
-        # Pure equality-constrained QP: one KKT solve.
-        kkt = np.block([[P, A.T], [A, np.zeros((p, p))]])
-        reg = 1e-12 * np.eye(n + p)
-        reg[n:, n:] *= -1.0
-        sol = np.linalg.solve(kkt + reg, np.concatenate([-q, b]))
-        x, y = sol[:n], sol[n:]
-        _record_metrics(metrics, 0, True)
-        return IPQPResult(
-            x=x,
-            eq_dual=y,
-            ineq_dual=np.zeros(0),
-            value=float(0.5 * x @ P @ x + q @ x),
-            iterations=0,
-            converged=True,
-            gap=0.0,
-            trace=IPQPTrace() if trace else None,
-        )
+def _mehrotra(
+    P: np.ndarray,
+    q: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    G: np.ndarray,
+    h: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    s: np.ndarray,
+    z: np.ndarray,
+    tol: float,
+    max_iter: int,
+    trace: IPQPTrace | None = None,
+    trace_every: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """The dense Mehrotra predictor-corrector loop, from given iterates.
 
-    if equilibrate:
-        (
-            P_s, q_s, A_s, b_s, G_s, h_s, d, r_a, r_g, gamma
-        ) = _ruiz_equilibrate(P, q, A, b, G, h)
-        inner = solve_qp(
-            P_s, q_s, A=A_s, b=b_s, G=G_s, h=h_s,
-            tol=tol, max_iter=max_iter, equilibrate=False, trace=trace,
-            trace_every=trace_every,
-        )
-        if not inner.converged:
-            # Equilibration helps badly scaled instances but can send
-            # the Mehrotra iteration into a limit cycle on small
-            # well-scaled ones (residual traces show the gap orbiting
-            # a period-3 cycle while the KKT residual sits at 1e-12).
-            # Retry on the raw data; converging solves never get here,
-            # so their iterates are untouched.
-            raw = solve_qp(
-                P, q, A=A, b=b, G=G, h=h,
-                tol=tol, max_iter=max_iter, equilibrate=False, trace=trace,
-                trace_every=trace_every,
-            )
-            if raw.converged:
-                _record_metrics(metrics, raw.iterations, raw.converged)
-                return raw
-        x = d * inner.x
-        _record_metrics(metrics, inner.iterations, inner.converged)
-        return IPQPResult(
-            x=x,
-            eq_dual=gamma * r_a * inner.eq_dual,
-            ineq_dual=gamma * r_g * inner.ineq_dual,
-            value=float(0.5 * x @ P @ x + q @ x),
-            iterations=inner.iterations,
-            converged=inner.converged,
-            gap=inner.gap * gamma,
-            trace=inner.trace,
-        )
+    Requires ``m >= 1`` inequality rows and slacks/duals ``s, z > 0``.
+    Converges when the dual, equality and inequality residuals and the
+    average complementarity all fall below ``tol * (1 + max(|q|, |h|,
+    |b|))``.  The cold solve starts it at ``x = 0``; the warm-IPM rung
+    of :func:`~repro.optim.warm.solve_qp_warm` at the shifted previous
+    slot's iterates, so both meet one acceptance test.  ``trace``, when
+    given, is appended to in place; it never changes the iterates.
 
-    # Interior-point iterations.
-    x = np.zeros(n)
-    y = np.zeros(p)
-    s = np.maximum(h - G @ x, 1.0)
-    z = np.ones(m)
+    Returns:
+        ``(x, y, s, z, iterations, converged)``.
+    """
+    n, p, m = len(q), A.shape[0], G.shape[0]
     scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
                       np.abs(b).max(initial=0.0))
-
-    trace_rec = IPQPTrace() if trace else None
     converged = False
     it = 0
     # Iteration workspaces, allocated once: the condensed KKT buffer,
@@ -421,10 +352,11 @@ def solve_qp(
         r_eq = A @ x - b
         r_ineq = G @ x + s - h
         mu = float(s @ z) / m
+        traced = trace is not None and (it - 1) % trace_every == 0
 
-        if trace_rec is not None and (it - 1) % trace_every == 0:
-            trace_rec.gap.append(mu)
-            trace_rec.residual.append(
+        if traced:
+            trace.gap.append(mu)
+            trace.residual.append(
                 max(
                     float(np.abs(r_dual).max()),
                     float(np.abs(r_eq).max(initial=0.0)),
@@ -481,16 +413,37 @@ def solve_qp(
             _step_length(z, dz, work=step_work, mask=step_mask),
         )
 
-        if trace_rec is not None and (it - 1) % trace_every == 0:
-            trace_rec.alpha_affine.append(min(alpha_p, alpha_d))
-            trace_rec.alpha.append(alpha)
+        if traced:
+            trace.alpha_affine.append(min(alpha_p, alpha_d))
+            trace.alpha.append(alpha)
 
         x = x + alpha * dx
         s = s + alpha * ds
         y = y + alpha * dy
         z = z + alpha * dz
+    return x, y, s, z, it, converged
 
-    _record_metrics(metrics, it, converged)
+
+def _solve_cold(
+    P: np.ndarray,
+    q: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    G: np.ndarray,
+    h: np.ndarray,
+    tol: float,
+    max_iter: int,
+    trace: bool,
+    trace_every: int,
+) -> IPQPResult:
+    """:func:`_mehrotra` from the cold start ``x = 0, y = 0,
+    s = max(h - G x, 1), z = 1`` on the data as given (``m >= 1``)."""
+    n, p, m = len(q), A.shape[0], G.shape[0]
+    trace_rec = IPQPTrace() if trace else None
+    x, y, s, z, it, converged = _mehrotra(
+        P, q, A, b, G, h, np.zeros(n), np.zeros(p), np.maximum(h, 1.0),
+        np.ones(m), tol, max_iter, trace_rec, trace_every,
+    )
     return IPQPResult(
         x=x,
         eq_dual=y,
@@ -500,4 +453,105 @@ def solve_qp(
         converged=converged,
         gap=float(s @ z) / m,
         trace=trace_rec,
+    )
+
+
+def solve_qp(
+    P: np.ndarray,
+    q: np.ndarray,
+    A: np.ndarray | None = None,
+    b: np.ndarray | None = None,
+    G: np.ndarray | None = None,
+    h: np.ndarray | None = None,
+    tol: float = 1e-9,
+    max_iter: int = 100,
+    equilibrate: bool = True,
+    trace: bool = False,
+    trace_every: int = 1,
+    metrics=None,
+) -> IPQPResult:
+    """Solve a dense convex QP with a Mehrotra predictor-corrector method.
+
+    ``P`` must be symmetric positive semidefinite.  Equality and
+    inequality blocks are each optional; with neither, the unconstrained
+    minimizer is returned via a linear solve.  By default the data is
+    Ruiz-equilibrated first, which makes the solver robust to badly
+    scaled problems (the UFC QP mixes workload variables ~1e4 with
+    power variables ~1 and couplings ~1e-4).  With ``trace=True`` the
+    result carries a per-iteration :class:`IPQPTrace` (duality gap,
+    KKT residual, step lengths); the iterates themselves are identical
+    with tracing on or off.  ``trace_every=k`` keeps only every k-th
+    iteration of the trace, bounding memory on long traced horizons.
+    ``metrics`` accepts a duck-typed
+    :class:`~repro.obs.metrics.MetricsRegistry` (anything with
+    ``counter``/``histogram``) and records solve counts, iteration
+    totals and an iteration histogram — once per outer solve, not per
+    equilibration retry.
+
+    Raises:
+        ValueError: on inconsistent shapes.
+        np.linalg.LinAlgError: if the KKT system is numerically singular
+            even after regularization.
+    """
+    P, q, A, b, G, h = _as_qp(P, q, A, b, G, h)
+    n, p, m = len(q), A.shape[0], G.shape[0]
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+
+    if m == 0:
+        if p == 0:
+            x = np.linalg.solve(P + 1e-12 * np.eye(n), -q)
+            y = np.zeros(0)
+        else:
+            # Pure equality-constrained QP: one KKT solve.
+            kkt = np.block([[P, A.T], [A, np.zeros((p, p))]])
+            reg = 1e-12 * np.eye(n + p)
+            reg[n:, n:] *= -1.0
+            sol = np.linalg.solve(kkt + reg, np.concatenate([-q, b]))
+            x, y = sol[:n], sol[n:]
+        _record_metrics(metrics, 0, True)
+        return IPQPResult(
+            x=x,
+            eq_dual=y,
+            ineq_dual=np.zeros(0),
+            value=float(0.5 * x @ P @ x + q @ x),
+            iterations=0,
+            converged=True,
+            gap=0.0,
+            trace=IPQPTrace() if trace else None,
+        )
+
+    if not equilibrate:
+        res = _solve_cold(P, q, A, b, G, h, tol, max_iter, trace, trace_every)
+        _record_metrics(metrics, res.iterations, res.converged)
+        return res
+
+    P_s, q_s, A_s, b_s, G_s, h_s, d, r_a, r_g, gamma = _ruiz_equilibrate(
+        P, q, A, b, G, h
+    )
+    inner = _solve_cold(
+        P_s, q_s, A_s, b_s, G_s, h_s, tol, max_iter, trace, trace_every
+    )
+    if not inner.converged:
+        # Equilibration helps badly scaled instances but can send the
+        # Mehrotra iteration into a limit cycle on small well-scaled
+        # ones (residual traces show the gap orbiting a period-3 cycle
+        # while the KKT residual sits at 1e-12).  Retry on the raw
+        # data; converging solves never get here, so their iterates
+        # are untouched.
+        raw = _solve_cold(P, q, A, b, G, h, tol, max_iter, trace, trace_every)
+        if raw.converged:
+            _record_metrics(metrics, raw.iterations, raw.converged)
+            return raw
+    x = d * inner.x
+    _record_metrics(metrics, inner.iterations, inner.converged)
+    return IPQPResult(
+        x=x,
+        eq_dual=gamma * r_a * inner.eq_dual,
+        ineq_dual=gamma * r_g * inner.ineq_dual,
+        value=float(0.5 * x @ P @ x + q @ x),
+        iterations=inner.iterations,
+        converged=inner.converged,
+        gap=inner.gap * gamma,
+        trace=inner.trace,
     )

@@ -21,7 +21,7 @@ coherence preserves, strongest mechanism first:
   *exact* KKT point, costs one factorization, and reports
   ``iterations`` equal to the number of KKT solves (1 or 2).
 * **Shift-initialized interior point.**  When the active set moved,
-  the Mehrotra iteration is started from the previous iterates
+  the cold solver's own Mehrotra loop runs from the previous iterates
   re-expressed in the cached Ruiz scalings (re-applying the diagonals
   to current data is exact algebra for any drift; only equilibration
   quality degrades).  Slacks and inequality duals are floored at a
@@ -43,7 +43,10 @@ plain cold solve):
    the slot is re-solved cold, so a warm answer is never of lower
    quality than the cold one it replaced.
 
-The cold path *is* :func:`~repro.optim.ipqp.solve_qp`, bit-for-bit —
+Both interior-point paths share one iteration: the warm rung calls the
+same loop as :func:`~repro.optim.ipqp.solve_qp` with a different start,
+so a converged warm run meets exactly the cold acceptance test.  The
+cold path *is* :func:`~repro.optim.ipqp.solve_qp`, bit-for-bit —
 including its equilibration-retry semantics — plus one extra
 equilibration pass to harvest the scalings for the next slot.
 """
@@ -56,10 +59,10 @@ import numpy as np
 
 from repro.optim.ipqp import (
     IPQPResult,
+    _as_qp,
+    _mehrotra,
     _record_metrics,
     _ruiz_equilibrate,
-    _solve_kkt,
-    _step_length,
     solve_qp,
 )
 
@@ -207,89 +210,6 @@ def _try_active_set(
     return ok, x, y, z, slack
 
 
-def _ip_iterate(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    s: np.ndarray,
-    z: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, bool]:
-    """The Mehrotra loop of :func:`~repro.optim.ipqp.solve_qp`, run
-    from caller-supplied iterates.
-
-    Same residual definitions, same ``scale = 1 + max(|q|, |h|, |b|)``
-    convergence test, same predictor-corrector step rule as the cold
-    loop — only the starting point differs, so a converged warm run
-    meets exactly the cold run's acceptance criteria.
-    """
-    n, p, m = len(q), A.shape[0], G.shape[0]
-    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
-                      np.abs(b).max(initial=0.0))
-    converged = False
-    it = 0
-    kkt = np.zeros((n + p, n + p))
-    rhs = np.empty(n + p)
-    step_work = np.empty(m)
-    step_mask = np.empty(m, dtype=bool)
-    for it in range(1, max_iter + 1):
-        r_dual = P @ x + q + A.T @ y + G.T @ z
-        r_eq = A @ x - b
-        r_ineq = G @ x + s - h
-        mu = float(s @ z) / m
-
-        if (
-            np.abs(r_dual).max() < tol * scale
-            and (p == 0 or np.abs(r_eq).max() < tol * scale)
-            and np.abs(r_ineq).max() < tol * scale
-            and mu < tol * scale
-        ):
-            converged = True
-            break
-
-        w = z / s
-        kkt.fill(0.0)
-        kkt[:n, :n] = P + G.T @ (w[:, None] * G)
-        kkt[:n, n:] = A.T
-        kkt[n:, :n] = A
-        kkt[n:, n:].flat[:: p + 1] = -1e-12
-
-        def solve_newton(r_comp: np.ndarray) -> tuple[np.ndarray, ...]:
-            rhs[:n] = -r_dual - G.T @ ((r_comp + z * r_ineq) / s)
-            np.negative(r_eq, out=rhs[n:])
-            sol = _solve_kkt(kkt, rhs)
-            dx = sol[:n]
-            dy = sol[n:]
-            ds = -r_ineq - G @ dx
-            dz = (r_comp - z * ds) / s
-            return dx, dy, ds, dz
-
-        dx_a, dy_a, ds_a, dz_a = solve_newton(-s * z)
-        alpha_p = _step_length(s, ds_a, fraction=1.0, work=step_work, mask=step_mask)
-        alpha_d = _step_length(z, dz_a, fraction=1.0, work=step_work, mask=step_mask)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-        r_comp = -s * z + sigma * mu - ds_a * dz_a
-        dx, dy, ds, dz = solve_newton(r_comp)
-        alpha = min(
-            _step_length(s, ds, work=step_work, mask=step_mask),
-            _step_length(z, dz, work=step_work, mask=step_mask),
-        )
-
-        x = x + alpha * dx
-        s = s + alpha * ds
-        y = y + alpha * dy
-        z = z + alpha * dz
-    return x, y, s, z, it, converged
-
-
 def _cold_solve(
     P: np.ndarray,
     q: np.ndarray,
@@ -358,24 +278,8 @@ def solve_qp_warm(
         ValueError: on inconsistent shapes (same contract as
             :func:`~repro.optim.ipqp.solve_qp`).
     """
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = len(q)
-    if P.shape != (n, n):
-        raise ValueError(f"P shape {P.shape} incompatible with q length {n}")
-    if A is None or len(np.atleast_2d(A)) == 0 or (b is not None and len(b) == 0):
-        A = np.zeros((0, n))
-        b = np.zeros(0)
-    else:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-    if G is None or (h is not None and len(h) == 0):
-        G = np.zeros((0, n))
-        h = np.zeros(0)
-    else:
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-    p, m = A.shape[0], G.shape[0]
+    P, q, A, b, G, h = _as_qp(P, q, A, b, G, h)
+    n, p, m = len(q), A.shape[0], G.shape[0]
 
     if m == 0:
         # No barrier, nothing to warm-start: the cold path solves these
@@ -481,7 +385,7 @@ def solve_qp_warm(
     s0 = np.maximum(s_raw, delta)
     z0 = np.maximum(z0, delta)
 
-    x_h, y_h, s_h, z_h, it, converged = _ip_iterate(
+    x_h, y_h, s_h, z_h, it, converged = _mehrotra(
         P_s, q_s, A_s, b_s, G_s, h_s, x0, y0, s0, z0, tol, max_iter
     )
     if not converged:

@@ -13,6 +13,8 @@ from repro.cli import main
 from repro.core.centralized import CentralizedSolver
 from repro.core.strategies import ALL_STRATEGIES, GRID, HYBRID
 from repro.costs.carbon import SteppedCarbonTax
+from repro.engine import HorizonEngine, create_solver
+from repro.instances import ScaleSpec, generate_instance
 from repro.obs import MetricsRegistry
 from repro.obs.certify import (
     DEFAULT_FEAS_TOL,
@@ -175,6 +177,19 @@ class TestEngineCertification:
         result = sim.run(HYBRID, hours=3)
         assert len(result.certificates) == 3
         assert all(c.solver == "distributed" for c in result.certificates)
+
+    def test_structured_lane_certifies(self):
+        """Reduced-layout duals of the structured lane reach the
+        structured certifier, not the dense one."""
+        inst = generate_instance(ScaleSpec(4, 12, hours=4, fan_in=2))
+        engine = HorizonEngine(
+            create_solver("centralized-structured", reach=inst.reach),
+            certify=True,
+        )
+        outcomes = engine.run(inst.problems(HYBRID))
+        assert [o.error for o in outcomes] == [None] * 4
+        assert all(o.certificate.ok for o in outcomes)
+        assert all(o.certificate.dual_source == "solver" for o in outcomes)
 
 
 class TestDoctorCli:

@@ -1,12 +1,9 @@
-"""Tests for repro.optim.batch: batched kernels against the scalar solvers.
+"""Tests for repro.optim.batch: the batched interior-point solver.
 
-Two kinds of guarantee are exercised here.  The closed-form kernels
-(``project_simplex_batch``, ``solve_capped_rank_one_qp_batch``) promise
-*bit-identical* rows versus the scalar calls — those tests use
-``np.array_equal``.  The batched interior-point solver promises scalar
-*semantics* (same convergence test, same tolerances) but iterates all
-instances jointly, so its tests compare solutions to the scalar solver
-within solver tolerance and check the masking/fallback machinery
+The batched solver promises scalar *semantics* (same convergence test,
+same tolerances) but iterates all instances jointly over one shared
+constraint structure, so its tests compare solutions to the scalar
+solver within solver tolerance and check the masking/fallback machinery
 exactly.
 """
 
@@ -15,15 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.optim.batch import (
-    BatchIPQPResult,
-    project_simplex_batch,
-    solve_capped_rank_one_qp_batch,
-    solve_qp_batch,
-)
+from repro.optim.batch import BatchIPQPResult, solve_qp_batch
 from repro.optim.ipqp import solve_qp
-from repro.optim.rank_one import solve_capped_rank_one_qp
-from repro.optim.simplex import project_simplex
 
 
 def _random_qp(rng, n, p, m, scale=1.0):
@@ -39,90 +29,44 @@ def _random_qp(rng, n, p, m, scale=1.0):
     return P, q, A, b, G, h
 
 
-class TestProjectSimplexBatch:
-    def test_rows_bit_identical_to_scalar(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=(16, 7)) * 10
-        totals = rng.uniform(0.0, 5.0, size=16)
-        out = project_simplex_batch(v, totals)
-        for r in range(16):
-            assert np.array_equal(out[r], project_simplex(v[r], totals[r]))
-
-    def test_scalar_total_broadcasts(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=(5, 4))
-        out = project_simplex_batch(v, 2.0)
-        for r in range(5):
-            assert np.array_equal(out[r], project_simplex(v[r], 2.0))
-
-    def test_1d_input_rejected(self):
-        with pytest.raises(ValueError):
-            project_simplex_batch(np.zeros(3), 1.0)
-
-
-class TestCappedRankOneBatch:
-    def test_rows_bit_identical_to_scalar(self):
-        rng = np.random.default_rng(2)
-        c = rng.normal(size=(24, 6)) * 3
-        rho, beta = 0.7, 0.02
-        caps = rng.uniform(0.0, 4.0, size=24)
-        out = solve_capped_rank_one_qp_batch(c, rho=rho, beta=beta, cap=caps)
-        for t in range(24):
-            ref = solve_capped_rank_one_qp(c[t], rho=rho, beta=beta, cap=float(caps[t]))
-            assert np.array_equal(out[t], ref), t
-
-    def test_binding_cap_rows_match_scalar(self):
-        # Large rewards force the capacity to bind on every row.
-        rng = np.random.default_rng(3)
-        c = rng.uniform(5.0, 10.0, size=(8, 5))
-        out = solve_capped_rank_one_qp_batch(c, rho=0.3, beta=0.01, cap=1.0)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
-        for t in range(8):
-            ref = solve_capped_rank_one_qp(c[t], rho=0.3, beta=0.01, cap=1.0)
-            assert np.array_equal(out[t], ref), t
-
-    def test_all_negative_rewards_give_zero(self):
-        c = -np.ones((3, 4))
-        out = solve_capped_rank_one_qp_batch(c, rho=1.0, beta=0.1, cap=2.0)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            solve_capped_rank_one_qp_batch(np.zeros(3), rho=1.0, beta=0.1, cap=1.0)
-        with pytest.raises(ValueError):
-            solve_capped_rank_one_qp_batch(np.zeros((2, 3)), rho=0.0, beta=0.1, cap=1.0)
-        with pytest.raises(ValueError):
-            solve_capped_rank_one_qp_batch(np.zeros((2, 3)), rho=1.0, beta=0.1, cap=-1.0)
+def _shared_batch(rng, n, p, m, T, scales=None):
+    """T strictly convex QPs over one shared A/G, each with its own
+    interior point: per-instance P, q, b and h."""
+    A = rng.normal(size=(p, n)) if p else None
+    G = rng.normal(size=(m, n))
+    Ps, qs, bs, hs = [], [], [], []
+    for t in range(T):
+        M = rng.normal(size=(n, n))
+        Ps.append(M @ M.T + 0.5 * np.eye(n))
+        qs.append(rng.normal(size=n) * (1.0 if scales is None else scales[t]))
+        x0 = rng.normal(size=n)
+        bs.append(A @ x0 if p else np.zeros(0))
+        hs.append(G @ x0 + rng.uniform(0.5, 2.0, size=m))
+    return np.stack(Ps), np.stack(qs), A, np.stack(bs), G, np.stack(hs)
 
 
 class TestSolveQPBatchStacked:
-    """The general dense path: per-instance 3-D constraint stacks."""
+    """Per-instance stacked P/q/b/h over one shared 2-D A/G."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fuzz_matches_scalar(self, seed):
         rng = np.random.default_rng(seed)
-        n, p, m, T = 6, 2, 8, 5
-        qps = [_random_qp(rng, n, p, m) for _ in range(T)]
-        res = solve_qp_batch(
-            np.stack([qp[0] for qp in qps]),
-            np.stack([qp[1] for qp in qps]),
-            A=np.stack([qp[2] for qp in qps]),
-            b=np.stack([qp[3] for qp in qps]),
-            G=np.stack([qp[4] for qp in qps]),
-            h=np.stack([qp[5] for qp in qps]),
-        )
+        P, q, A, b, G, h = _shared_batch(rng, n=6, p=2, m=8, T=5)
+        res = solve_qp_batch(P, q, A=A, b=b, G=G, h=h)
         assert res.converged.all()
         assert not res.fallback.any()
-        for t, (P, q, A, b, G, h) in enumerate(qps):
-            ref = solve_qp(P, q, A=A, b=b, G=G, h=h)
+        for t in range(len(q)):
+            ref = solve_qp(P[t], q[t], A=A, b=b[t], G=G, h=h[t])
             assert ref.converged
             np.testing.assert_allclose(res.x[t], ref.x, atol=1e-6, rtol=1e-6)
-            assert res.value[t] == pytest.approx(ref.value, rel=1e-8, abs=1e-8)
+            # Six factored Ruiz sweeps (vs. the scalar fifteen) move the
+            # stopping point within solver tolerance.
+            assert res.value[t] == pytest.approx(ref.value, rel=1e-7, abs=1e-7)
 
     def test_single_instance_batch_matches_scalar(self):
         rng = np.random.default_rng(11)
         P, q, A, b, G, h = _random_qp(rng, 5, 1, 6)
-        res = solve_qp_batch(P[None], q[None], A=A[None], b=b[None], G=G[None], h=h[None])
+        res = solve_qp_batch(P[None], q[None], A=A, b=b[None], G=G, h=h[None])
         ref = solve_qp(P, q, A=A, b=b, G=G, h=h)
         assert len(res) == 1
         assert bool(res.converged[0]) == ref.converged
@@ -133,46 +77,31 @@ class TestSolveQPBatchStacked:
         exactly the iterations it would take alone (convergence masking
         freezes finished instances without perturbing stragglers)."""
         rng = np.random.default_rng(12)
-        easy = _random_qp(rng, 6, 0, 6)
-        hard = _random_qp(rng, 6, 0, 6, scale=1e4)  # badly scaled linear term
-        P = np.stack([easy[0], hard[0] * 1e3])
-        q = np.stack([easy[1], hard[1]])
-        G = np.stack([easy[4], hard[4]])
-        h = np.stack([easy[5], hard[5]])
+        # The second linear term is badly scaled.
+        P, q, _, _, G, h = _shared_batch(rng, n=6, p=0, m=6, T=2, scales=[1.0, 1e4])
+        P[1] *= 1e3
         res = solve_qp_batch(P, q, G=G, h=h)
         assert res.converged.all()
         for t in range(2):
-            solo = solve_qp_batch(
-                P[t : t + 1], q[t : t + 1], G=G[t : t + 1], h=h[t : t + 1]
-            )
+            solo = solve_qp_batch(P[t : t + 1], q[t : t + 1], G=G, h=h[t : t + 1])
             assert int(solo.iterations[0]) == int(res.iterations[t])
-            assert np.array_equal(solo.x[0], res.x[t])
+            # Matmuls over the shared matrix round by batch size, so the
+            # iterates agree to rounding rather than bit-for-bit.
+            np.testing.assert_allclose(solo.x[0], res.x[t], atol=1e-9, rtol=1e-9)
 
     def test_fallback_instances_carry_scalar_solution(self):
         """Instances the batch cannot converge within max_iter are
         re-solved scalar (same budget) and flagged in the mask."""
         rng = np.random.default_rng(13)
-        qps = [_random_qp(rng, 5, 0, 6) for _ in range(3)]
-        P = np.stack([qp[0] for qp in qps])
-        q = np.stack([qp[1] for qp in qps])
-        G = np.stack([qp[4] for qp in qps])
-        h = np.stack([qp[5] for qp in qps])
+        P, q, _, _, G, h = _shared_batch(rng, n=5, p=0, m=6, T=3)
         res = solve_qp_batch(P, q, G=G, h=h, max_iter=2)
         # Two iterations are never enough: every instance falls back.
         assert res.fallback.all()
         for t in np.nonzero(res.fallback)[0]:
-            ref = solve_qp(P[t], q[t], G=G[t], h=h[t], max_iter=2)
+            ref = solve_qp(P[t], q[t], G=G, h=h[t], max_iter=2)
             assert np.array_equal(res.x[t], ref.x)
             assert bool(res.converged[t]) == ref.converged
             assert int(res.iterations[t]) == ref.iterations
-
-    def test_fallback_disabled_reports_raw_mask(self):
-        rng = np.random.default_rng(14)
-        P, q, _, _, G, h = _random_qp(rng, 5, 0, 6)
-        res = solve_qp_batch(P[None], q[None], G=G[None], h=h[None],
-                             max_iter=2, fallback_scalar=False)
-        assert not res.converged[0]
-        assert not res.fallback[0]
 
 
 class TestSolveQPBatchShared:
@@ -228,52 +157,29 @@ class TestSolveQPBatchShared:
 
 class TestSolveQPBatchEdges:
     def test_empty_batch(self):
-        res = solve_qp_batch(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        res = solve_qp_batch(
+            np.zeros((0, 3, 3)), np.zeros((0, 3)), G=-np.eye(3), h=np.zeros(3)
+        )
         assert isinstance(res, BatchIPQPResult)
         assert len(res) == 0
         assert res.x.shape == (0, 3)
-
-    def test_unconstrained_closed_form(self):
-        rng = np.random.default_rng(21)
-        Ps, qs = [], []
-        for _ in range(4):
-            M = rng.normal(size=(4, 4))
-            Ps.append(M @ M.T + np.eye(4))
-            qs.append(rng.normal(size=4))
-        res = solve_qp_batch(np.stack(Ps), np.stack(qs))
-        assert res.converged.all()
-        for t in range(4):
-            np.testing.assert_allclose(res.x[t], np.linalg.solve(Ps[t], -qs[t]), atol=1e-8)
-
-    def test_equality_only_closed_form(self):
-        rng = np.random.default_rng(22)
-        n, p = 5, 2
-        M = rng.normal(size=(n, n))
-        P = M @ M.T + np.eye(n)
-        A = rng.normal(size=(p, n))
-        qs = rng.normal(size=(3, n))
-        bs = rng.normal(size=(3, p))
-        res = solve_qp_batch(np.broadcast_to(P, (3, n, n)), qs,
-                             A=np.broadcast_to(A, (3, p, n)), b=bs)
-        assert res.converged.all()
-        for t in range(3):
-            ref = solve_qp(P, qs[t], A=A, b=bs[t])
-            np.testing.assert_allclose(res.x[t], ref.x, atol=1e-7)
-            np.testing.assert_allclose(res.eq_dual[t], ref.eq_dual, atol=1e-6)
+        assert res.ineq_dual.shape == (0, 3)
 
     def test_shared_2d_hessian_broadcasts(self):
         rng = np.random.default_rng(23)
         M = rng.normal(size=(3, 3))
         P = M @ M.T + np.eye(3)
         qs = rng.normal(size=(5, 3))
-        res = solve_qp_batch(P, qs)
+        G, h = np.eye(3), np.full(3, 1e3)  # bounds that never bind
+        res = solve_qp_batch(P, qs, G=G, h=h)
+        assert res.converged.all()
         for t in range(5):
-            np.testing.assert_allclose(res.x[t], np.linalg.solve(P, -qs[t]), atol=1e-8)
+            np.testing.assert_allclose(res.x[t], np.linalg.solve(P, -qs[t]), atol=1e-6)
 
     def test_instance_view(self):
         rng = np.random.default_rng(24)
         P, q, _, _, G, h = _random_qp(rng, 4, 0, 5)
-        res = solve_qp_batch(P[None], q[None], G=G[None], h=h[None])
+        res = solve_qp_batch(P[None], q[None], G=G, h=h[None])
         inst = res.instance(0)
         assert np.array_equal(inst.x, res.x[0])
         assert inst.value == float(res.value[0])
@@ -281,12 +187,23 @@ class TestSolveQPBatchEdges:
         assert inst.converged == bool(res.converged[0])
 
     def test_shape_validation(self):
+        P, q = np.zeros((2, 3, 3)), np.zeros((2, 3))
+        G, h = -np.eye(3), np.zeros(3)
         with pytest.raises(ValueError):
-            solve_qp_batch(np.zeros((2, 3, 3)), np.zeros(3))  # 1-D q
+            solve_qp_batch(P, np.zeros(3), G=G, h=h)  # 1-D q
         with pytest.raises(ValueError):
-            solve_qp_batch(np.zeros((2, 4, 4)), np.zeros((2, 3)))  # P/q mismatch
+            solve_qp_batch(np.zeros((2, 4, 4)), q, G=G, h=h)  # P/q mismatch
         with pytest.raises(ValueError):
+            solve_qp_batch(P, q, G=G, h=np.zeros((3, 3)))  # wrong batch dim
+        with pytest.raises(ValueError):
+            solve_qp_batch(P, q, G=G)  # G without its rhs
+        with pytest.raises(ValueError, match="shared"):
+            solve_qp_batch(P, q, G=np.zeros((2, 3, 3)), h=np.zeros((2, 3)))  # 3-D G
+        with pytest.raises(ValueError, match="shared"):
             solve_qp_batch(
-                np.zeros((2, 3, 3)), np.zeros((2, 3)),
-                G=np.zeros((3, 2, 3)), h=np.zeros((3, 2)),  # wrong batch dim
-            )
+                P, q, A=np.zeros((2, 1, 3)), b=np.zeros((2, 1)), G=G, h=h
+            )  # 3-D A
+        with pytest.raises(ValueError, match="inequality"):
+            solve_qp_batch(P, q)  # no G
+        with pytest.raises(ValueError, match="inequality"):
+            solve_qp_batch(P, q, G=np.zeros((0, 3)), h=np.zeros(0))  # empty G
