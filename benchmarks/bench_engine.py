@@ -95,7 +95,7 @@ def _horizon_problems(hours: int, seed: int):
 
 def _time_engine(
     problems, repeats: int = 1, telemetry=None, solver="centralized",
-    batch=None, **engine_kwargs,
+    **engine_kwargs,
 ):
     """Best-of-``repeats`` wall time, outcomes and the best run's summary."""
     best = None
@@ -104,7 +104,7 @@ def _time_engine(
     for _ in range(repeats):
         engine = HorizonEngine(solver, telemetry=telemetry, **engine_kwargs)
         start = time.perf_counter()
-        outcomes = engine.run(problems, batch=batch)
+        outcomes = engine.run(problems)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed

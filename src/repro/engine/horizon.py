@@ -35,10 +35,13 @@ deterministic.  Concretely:
   (:class:`CompileCache`) is identity-safe: it holds a strong
   reference to each keyed model and verifies ``is`` on hit, so a
   recycled ``id()`` can never serve a stale structure;
-- **per-slot error capture**: a slot whose solve raises is reported as
-  a failed :class:`SlotOutcome` — with the exception's class name and
-  message carried as structured fields next to the formatted traceback
-  — instead of killing the horizon;
+- **one slot pipeline**: every lane — scalar, warm chain, resilient
+  attempt, batched row, store hit — finishes a slot in
+  :func:`_solve_slot` (compile lookup → solve → certify → outcome), so
+  a slot whose solve *or* certification raises is reported as a failed
+  :class:`SlotOutcome` — with the exception's class name and message
+  carried as structured fields next to the formatted traceback —
+  instead of killing the horizon;
 - **warm-start chaining** (``warm_start=True``): each slot resumes
   from the previous slot's payload.  Chaining is inherently
   sequential, so it requires ``workers=1`` and a solver that supports
@@ -61,8 +64,9 @@ import sys
 import time
 import traceback
 from contextlib import ExitStack
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from repro.core.problem import UFCProblem
 from repro.engine.protocol import SlotResult, SlotSolver
@@ -104,7 +108,6 @@ __all__ = [
     "SlotTimeoutError",
     "CompileCache",
     "HorizonEngine",
-    "parallel_map",
     "usable_cpu_count",
 ]
 
@@ -117,9 +120,6 @@ class SlotTimeoutError(RuntimeError):
     whole pending batch at harvest time); the late result is discarded
     and the fallback chain escalates.
     """
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 @dataclass
@@ -248,20 +248,22 @@ class _Chunk:
 
 def _failed_outcome(
     index: int,
-    exc: Exception,
     solver_name: str,
+    error_type: str,
+    message: str,
+    error: str,
     *,
-    wall_s: float,
-    compile_s: float,
-    cache_hit: bool | None,
+    wall_s: float = 0.0,
+    compile_s: float = 0.0,
+    cache_hit: bool | None = None,
     warm_start: bool = False,
 ) -> SlotOutcome:
     """A failed :class:`SlotOutcome` with structured error info."""
     return SlotOutcome(
         index=index,
-        error=traceback.format_exc(),
-        error_type=type(exc).__name__,
-        error_message=str(exc),
+        error=error,
+        error_type=error_type,
+        error_message=message,
         telemetry=SlotTelemetry(
             solver=solver_name,
             wall_s=wall_s,
@@ -271,9 +273,35 @@ def _failed_outcome(
             cache_hit=cache_hit,
             worker=os.getpid(),
             warm_start=warm_start,
-            error_type=type(exc).__name__,
+            error_type=error_type,
         ),
     )
+
+
+def _failed_chunk_outcomes(
+    chunk: _Chunk, error_type: str, detail: str, solver_name: str
+) -> list[SlotOutcome]:
+    """Failed outcomes for every slot of a batch that never delivered.
+
+    Two things lose a whole batch: a worker dying mid-flight
+    (``WorkerLostError`` — the socket client shrinks its fleet and
+    keeps serving) and a pending batch blowing its harvest budget
+    (``SlotTimeoutError`` — the batch is abandoned and a late result
+    discarded).  Neither ships per-slot telemetry, so each slot becomes
+    a structured failure attributed to the harvesting process — not a
+    silent gap — while every completed slot's merged metrics and spans
+    survive untouched.
+    """
+    outcomes = []
+    for offset in range(len(chunk.problems)):
+        index = chunk.index(offset)
+        message = f"slot {index}: {detail}"
+        outcomes.append(
+            _failed_outcome(
+                index, solver_name, error_type, message, f"{error_type}: {message}"
+            )
+        )
+    return outcomes
 
 
 def _certify_result(
@@ -309,60 +337,246 @@ def _certify_result(
     )
 
 
-def _solve_one(
+def _solve_slot(
     solver: SlotSolver,
     index: int,
     problem: UFCProblem,
-    cache: CompileCache,
-    structure_cache: bool,
+    cache: CompileCache | None,
     certifier: Any | None,
-    pid: int,
+    *,
+    warm: Any | None = None,
+    timeout_s: float | None = None,
+    solved: tuple[SlotResult, float] | None = None,
+    compile_s: float = 0.0,
+    cache_hit: bool | None = None,
+    store_hit: bool = False,
 ) -> SlotOutcome:
-    """Solve one slot through the scalar path, capturing any failure."""
-    compiled = None
-    cache_hit: bool | None = None
-    compile_s = 0.0
+    """One slot through the pipeline: compile → solve → certify → outcome.
+
+    Every lane builds its outcomes here, so a slot ends either as a
+    result (certified when ``certifier`` is set) or as a failed outcome
+    carrying the exception's class name, message and traceback —
+    whether the compile lookup, the solve, the time budget or the
+    certifier raised.
+
+    Args:
+        cache: the chunk's compile cache; None when structure caching
+            is off.
+        warm: the previous slot's payload on a warm chain; the
+            telemetry records whether the slot resumed from one.
+        timeout_s: per-attempt budget; a slower solve fails as a
+            :class:`SlotTimeoutError` (the resilient lane's budget).
+        solved: a ``(result, wall_s)`` produced elsewhere — a batched
+            group's row or a store hit.  Compile and solve are skipped,
+            and ``compile_s`` / ``cache_hit`` / ``store_hit`` describe
+            where the result came from.
+    """
     start = time.perf_counter()
+    wall_s = 0.0
     try:
-        if structure_cache:
-            compiled, cache_hit, compile_s = cache.lookup(
-                problem.model, problem.strategy
-            )
-        solve_start = time.perf_counter()
-        result = solver.solve(problem, compiled=compiled)
-        wall_s = time.perf_counter() - solve_start
+        if solved is None:
+            compiled = None
+            if cache is not None:
+                compiled, cache_hit, compile_s = cache.lookup(
+                    problem.model, problem.strategy
+                )
+            solve_start = time.perf_counter()
+            result = solver.solve(problem, compiled=compiled, warm=warm)
+            wall_s = time.perf_counter() - solve_start
+            if timeout_s is not None and wall_s > timeout_s:
+                raise SlotTimeoutError(
+                    f"slot {index}: {solver.name} attempt took "
+                    f"{wall_s:.3f}s > budget {timeout_s:.3f}s"
+                )
+        else:
+            result, wall_s = solved
         certificate = (
             _certify_result(certifier, problem, result, solver.name, index)
             if certifier is not None
             else None
         )
-        return SlotOutcome(
-            index=index,
-            result=result,
-            certificate=certificate,
-            telemetry=SlotTelemetry(
-                solver=solver.name,
-                wall_s=wall_s,
-                compile_s=compile_s,
-                iterations=result.iterations,
-                converged=result.converged,
-                cache_hit=cache_hit,
-                worker=pid,
-                warm_start=False,
-                certify_s=(
-                    certificate.certify_s if certificate is not None else 0.0
-                ),
-            ),
-        )
     except Exception as exc:
         return _failed_outcome(
             index,
-            exc,
             solver.name,
-            wall_s=time.perf_counter() - start,
+            type(exc).__name__,
+            str(exc),
+            traceback.format_exc(),
+            wall_s=wall_s if solved is not None else time.perf_counter() - start,
             compile_s=compile_s,
             cache_hit=cache_hit,
+            warm_start=warm is not None,
         )
+    return SlotOutcome(
+        index=index,
+        result=result,
+        certificate=certificate,
+        telemetry=SlotTelemetry(
+            solver=solver.name,
+            wall_s=wall_s,
+            compile_s=compile_s,
+            iterations=result.iterations,
+            converged=result.converged,
+            cache_hit=cache_hit,
+            worker=os.getpid(),
+            warm_start=warm is not None,
+            certify_s=certificate.certify_s if certificate is not None else 0.0,
+            store_hit=store_hit,
+        ),
+    )
+
+
+class _FallbackChain:
+    """One chunk's retry / fallback / quarantine state (resilient lane).
+
+    Per slot: the primary solver gets ``retry.max_attempts`` tries, then
+    each fallback (instantiated once per chunk, with its own compile
+    cache when the primary has one) gets one.  Every attempt is a whole :func:`_solve_slot`, so
+    a certifier crash fails the attempt exactly as a solver crash or a
+    blown ``slot_timeout_s`` does, and the chain escalates.  After
+    ``quarantine_after`` consecutive slots where the primary's whole
+    budget failed, the primary is skipped for the rest of the chunk.
+    A slot only becomes a failed outcome when *every* solver in the
+    chain failed.
+    """
+
+    def __init__(
+        self,
+        solver: SlotSolver,
+        resilience: ResilienceConfig,
+        cache: CompileCache | None,
+        certifier: Any | None,
+    ) -> None:
+        self.resilience = resilience
+        self.certifier = certifier
+        self.lanes = [(solver, cache, resilience.retry.max_attempts)]
+        for name in resilience.fallback:
+            fallback = create_solver(name)
+            self.lanes.append(
+                (fallback, CompileCache(fallback) if cache is not None else None, 1)
+            )
+        self.primary_failures = 0
+
+    def solve(self, index: int, problem: UFCProblem) -> SlotOutcome:
+        """Walk the chain for one slot; the first success wins."""
+        config = self.resilience
+        primary = self.lanes[0][0]
+        quarantined = bool(config.quarantine_after) and (
+            self.primary_failures >= config.quarantine_after
+        )
+        chain_errors: list[str] = []
+        if quarantined:
+            chain_errors.append(
+                f"{primary.name}: quarantined after "
+                f"{self.primary_failures} consecutive slot failures"
+            )
+        attempts = 0
+        failed: SlotOutcome | None = None
+        start = time.perf_counter()
+        for position, (solver, cache, budget) in enumerate(self.lanes):
+            is_primary = position == 0
+            if is_primary and quarantined:
+                continue
+            for attempt in range(1, budget + 1):
+                attempts += 1
+                outcome = _solve_slot(
+                    solver, index, problem, cache, self.certifier,
+                    timeout_s=config.slot_timeout_s,
+                )
+                if outcome.ok:
+                    if is_primary:
+                        self.primary_failures = 0
+                    outcome.attempts = attempts
+                    outcome.degraded = (
+                        bool(outcome.result.extras.get("degraded")) or not is_primary
+                    )
+                    outcome.fallback_solver = None if is_primary else solver.name
+                    outcome.chain_errors = tuple(chain_errors)
+                    return outcome
+                failed = outcome
+                chain_errors.append(
+                    f"{solver.name}[attempt {attempt}]: "
+                    f"{outcome.error_type}: {outcome.error_message}"
+                )
+            if is_primary:
+                self.primary_failures += 1
+        # Config validation guarantees a quarantined primary has a
+        # fallback, so at least one attempt ran.
+        assert failed is not None and failed.telemetry is not None
+        failed.attempts = attempts
+        failed.chain_errors = tuple(chain_errors)
+        failed.telemetry = replace(
+            failed.telemetry,
+            solver=primary.name,
+            wall_s=time.perf_counter() - start,
+        )
+        return failed
+
+
+def _attach_report(
+    outcome: SlotOutcome,
+    obs: WorkerObsPlan,
+    *,
+    spans: tuple[dict[str, Any], ...],
+    profile: tuple[dict[str, Any], ...] = (),
+    profile_scope: str = "slot",
+) -> None:
+    tele = outcome.telemetry
+    outcome.worker_report = WorkerReport(
+        worker=os.getpid(),
+        host=local_host(),
+        metrics=(
+            slot_metrics(tele).to_dict() if obs.metrics and tele is not None else None
+        ),
+        spans=spans,
+        trace=obs.trace,
+        profile=profile,
+        profile_scope=profile_scope,
+    )
+
+
+def _observed(
+    slot: Callable[[], SlotOutcome], obs: WorkerObsPlan, index: int, solver_name: str
+) -> SlotOutcome:
+    """Run one slot inside its worker-observability context.
+
+    A live ``worker.slot`` span and (optionally) a per-slot cProfile
+    wrap the slot, and the outcome comes back with a
+    :class:`~repro.obs.WorkerReport` whose metric samples cover exactly
+    that slot, so the parent merges reports without double counting.
+    """
+    pid = os.getpid()
+    tracer = SpanTracer() if obs.spans else None
+    profiler = cProfile.Profile() if obs.profile > 0 else None
+    with ExitStack() as stack:
+        span = None
+        if tracer is not None:
+            span = stack.enter_context(
+                tracer.span("worker.slot", index=index, solver=solver_name, worker=pid)
+            )
+        if profiler is not None:
+            profiler.enable()
+        try:
+            outcome = slot()
+        finally:
+            if profiler is not None:
+                profiler.disable()
+        if span is not None:
+            tele = outcome.telemetry
+            span.set(
+                ok=outcome.ok,
+                iterations=0 if tele is None else tele.iterations,
+                converged=bool(tele is not None and tele.converged),
+            )
+    _attach_report(
+        outcome,
+        obs,
+        spans=tuple(tracer.to_dicts()) if tracer is not None else (),
+        profile=(
+            profile_hotspots(profiler, obs.profile) if profiler is not None else ()
+        ),
+    )
+    return outcome
 
 
 def _solve_chunk(
@@ -373,126 +587,54 @@ def _solve_chunk(
     resilience: ResilienceConfig | None = None,
     batched: bool = False,
     obs: WorkerObsPlan | None = None,
+    warm_start: bool = False,
+    warm: Any | None = None,
 ) -> list[SlotOutcome]:
-    """Solve a contiguous chunk serially with a per-chunk compile cache.
+    """Solve a chunk's slots in order with one chunk-wide compile cache.
 
-    Module-level so the process executor can pickle it; also the
-    serial executor's inner loop, so both paths share one code path.
-    Per-slot telemetry (and, with ``certifier``, each slot's
-    certificate) travels back attached to the outcomes, which is what
-    lets the parent aggregate pool runs without a second channel.
+    Module-level so process and socket clients can pickle it; every
+    lane runs through it.  Per-slot telemetry (and, with
+    ``certifier``, each slot's certificate) travels back attached to
+    the outcomes, which is what lets the parent aggregate remote runs
+    without a second channel.
 
-    With ``resilience`` attached the chunk runs through
-    :func:`_solve_chunk_resilient` instead, and with ``batched`` set
-    through :func:`_solve_chunk_batched`; with the defaults this
-    original scalar path runs untouched (bit-identical outputs).
-    With an ``obs`` plan, :func:`_solve_chunk_observed` additionally
-    attaches a :class:`~repro.obs.WorkerReport` to every outcome.
+    With ``warm_start`` the chunk is a warm chain: the first slot
+    resumes from ``warm`` and each later slot from its predecessor's
+    :attr:`SlotResult.warm`; a failed slot ships no payload, so the
+    next one cold-starts.  With ``resilience`` every slot walks a
+    :class:`_FallbackChain`; with ``batched`` the chunk goes through
+    :func:`_solve_chunk_batched`.  With an ``obs`` plan every slot runs
+    inside :func:`_observed`.
     """
-    if obs is not None:
-        return _solve_chunk_observed(
-            solver, chunk, structure_cache, certifier, resilience, batched, obs
-        )
     if batched:
-        return _solve_chunk_batched(solver, chunk, structure_cache, certifier)
-    if resilience is not None:
-        return _solve_chunk_resilient(
-            solver, chunk, structure_cache, certifier, resilience
-        )
-    cache = CompileCache(solver)
-    pid = os.getpid()
-    return [
-        _solve_one(
-            solver, chunk.index(offset), problem, cache, structure_cache,
-            certifier, pid,
-        )
-        for offset, problem in enumerate(chunk.problems)
-    ]
-
-
-def _solve_chunk_warm(
-    solver: SlotSolver,
-    chunk: _Chunk,
-    structure_cache: bool,
-    certifier: Any | None,
-    warm: Any | None,
-) -> list[SlotOutcome]:
-    """Solve a warm-chained chunk shipped through an execution client.
-
-    Module-level so process and socket clients can pickle it.  The
-    previous slot's warm payload rides the task arguments and the new
-    payload rides back on ``SlotResult.warm``, so the chain's state
-    crosses worker boundaries with the task itself.  A slot failure is
-    captured per slot exactly as in the scalar path and ships no
-    payload, which cold-restarts the chain on the next submission.
-    """
-    cache = CompileCache(solver)
-    pid = os.getpid()
+        return _solve_chunk_batched(solver, chunk, structure_cache, certifier, obs)
+    cache = CompileCache(solver) if structure_cache else None
+    chain = (
+        _FallbackChain(solver, resilience, cache, certifier)
+        if resilience is not None
+        else None
+    )
     outcomes: list[SlotOutcome] = []
     for offset, problem in enumerate(chunk.problems):
         index = chunk.index(offset)
-        compiled = None
-        cache_hit: bool | None = None
-        compile_s = 0.0
-        had_warm = warm is not None
-        start = time.perf_counter()
-        try:
-            if structure_cache:
-                compiled, cache_hit, compile_s = cache.lookup(
-                    problem.model, problem.strategy
-                )
-            solve_start = time.perf_counter()
-            result = solver.solve(problem, compiled=compiled, warm=warm)
-            wall_s = time.perf_counter() - solve_start
-            warm = result.warm
-            certificate = (
-                _certify_result(certifier, problem, result, solver.name, index)
-                if certifier is not None
-                else None
+        if chain is not None:
+            slot = partial(chain.solve, index, problem)
+        else:
+            slot = partial(
+                _solve_slot, solver, index, problem, cache, certifier, warm=warm
             )
-            outcomes.append(
-                SlotOutcome(
-                    index=index,
-                    result=result,
-                    certificate=certificate,
-                    telemetry=SlotTelemetry(
-                        solver=solver.name,
-                        wall_s=wall_s,
-                        compile_s=compile_s,
-                        iterations=result.iterations,
-                        converged=result.converged,
-                        cache_hit=cache_hit,
-                        worker=pid,
-                        warm_start=had_warm,
-                        certify_s=(
-                            certificate.certify_s
-                            if certificate is not None
-                            else 0.0
-                        ),
-                    ),
-                )
-            )
-        except Exception as exc:
-            warm = None
-            outcomes.append(
-                _failed_outcome(
-                    index,
-                    exc,
-                    solver.name,
-                    wall_s=time.perf_counter() - start,
-                    compile_s=compile_s,
-                    cache_hit=cache_hit,
-                    warm_start=had_warm,
-                )
-            )
+        outcome = slot() if obs is None else _observed(slot, obs, index, solver.name)
+        if warm_start:
+            warm = outcome.result.warm if outcome.ok else None
+        outcomes.append(outcome)
     return outcomes
 
 
-def _synth_slot_span(outcome: SlotOutcome, pid: int) -> dict[str, Any]:
+def _synth_slot_span(outcome: SlotOutcome) -> dict[str, Any]:
     """A synthesized ``worker.slot`` span dict built from telemetry.
 
-    The batched/resilient lanes solve many slots inside one solver
-    call, so individual slots cannot be wrapped live; their spans are
+    The batched lane solves a whole group inside one solver call, so
+    individual slots cannot be wrapped live; their spans are
     reconstructed from the per-slot telemetry instead (wall time known,
     CPU time not) and marked ``synthesized``.
     """
@@ -506,7 +648,7 @@ def _synth_slot_span(outcome: SlotOutcome, pid: int) -> dict[str, Any]:
         "cpu_s": 0.0,
         "attributes": {
             "index": outcome.index,
-            "worker": pid,
+            "worker": os.getpid(),
             "ok": outcome.ok,
             "iterations": 0 if tele is None else tele.iterations,
             "converged": bool(tele is not None and tele.converged),
@@ -515,152 +657,35 @@ def _synth_slot_span(outcome: SlotOutcome, pid: int) -> dict[str, Any]:
     }
 
 
-def _attach_report(
-    outcome: SlotOutcome,
-    obs: WorkerObsPlan,
-    *,
-    pid: int,
-    host: str,
-    spans: tuple[dict[str, Any], ...],
-    profile: tuple[dict[str, Any], ...] = (),
-    profile_scope: str = "slot",
-) -> None:
-    tele = outcome.telemetry
-    outcome.worker_report = WorkerReport(
-        worker=pid,
-        host=host,
-        metrics=(
-            slot_metrics(tele).to_dict() if obs.metrics and tele is not None else None
-        ),
-        spans=spans,
-        trace=obs.trace,
-        profile=profile,
-        profile_scope=profile_scope,
-    )
-
-
-def _solve_chunk_observed(
-    solver: SlotSolver,
-    chunk: _Chunk,
-    structure_cache: bool,
-    certifier: Any | None,
-    resilience: ResilienceConfig | None,
-    batched: bool,
-    obs: WorkerObsPlan,
-) -> list[SlotOutcome]:
-    """The worker-observability wrapper around the chunk solve paths.
-
-    The scalar lane wraps every slot individually — a live
-    ``worker.slot`` span and (optionally) a per-slot cProfile.  The
-    batched and resilient lanes run their existing chunk function
-    untouched and synthesize per-slot spans from the telemetry the
-    outcomes already carry (one chunk-level profile lands on the first
-    outcome with ``profile_scope="chunk"``).  Either way every outcome
-    comes back with a :class:`~repro.obs.WorkerReport` whose metric
-    samples cover exactly that slot, so the parent can merge reports
-    without double counting.
-    """
-    pid = os.getpid()
-    host = local_host()
-    if batched or resilience is not None:
-        profiler = None
-        if obs.profile > 0:
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
-            outcomes = _solve_chunk(
-                solver, chunk, structure_cache, certifier, resilience, batched
-            )
-        finally:
-            if profiler is not None:
-                profiler.disable()
-        rows = (
-            profile_hotspots(profiler, obs.profile) if profiler is not None else ()
-        )
-        for j, outcome in enumerate(outcomes):
-            spans: tuple[dict[str, Any], ...] = ()
-            if obs.spans:
-                spans = (_synth_slot_span(outcome, pid),)
-            _attach_report(
-                outcome,
-                obs,
-                pid=pid,
-                host=host,
-                spans=spans,
-                profile=rows if j == 0 else (),
-                profile_scope="chunk",
-            )
-        return outcomes
-    cache = CompileCache(solver)
-    outcomes = []
-    for offset, problem in enumerate(chunk.problems):
-        index = chunk.index(offset)
-        tracer = SpanTracer() if obs.spans else None
-        profiler = cProfile.Profile() if obs.profile > 0 else None
-        with ExitStack() as stack:
-            span = None
-            if tracer is not None:
-                span = stack.enter_context(
-                    tracer.span(
-                        "worker.slot", index=index, solver=solver.name, worker=pid
-                    )
-                )
-            if profiler is not None:
-                profiler.enable()
-            try:
-                outcome = _solve_one(
-                    solver, index, problem, cache, structure_cache, certifier, pid
-                )
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-            if span is not None:
-                tele = outcome.telemetry
-                span.set(
-                    ok=outcome.ok,
-                    iterations=0 if tele is None else tele.iterations,
-                    converged=bool(tele is not None and tele.converged),
-                )
-        _attach_report(
-            outcome,
-            obs,
-            pid=pid,
-            host=host,
-            spans=tuple(tracer.to_dicts()) if tracer is not None else (),
-            profile=(
-                profile_hotspots(profiler, obs.profile)
-                if profiler is not None
-                else ()
-            ),
-        )
-        outcomes.append(outcome)
-    return outcomes
-
-
 def _solve_chunk_batched(
     solver: SlotSolver,
     chunk: _Chunk,
     structure_cache: bool,
-    certifier: Any | None = None,
+    certifier: Any | None,
+    obs: WorkerObsPlan | None,
 ) -> list[SlotOutcome]:
     """Solve a chunk through the solver's vectorized ``solve_batch``.
 
     Slots are grouped by (model, strategy) — the unit the compile
     cache keys on — and each group goes to ``solver.solve_batch`` as
-    one stacked solve.  Every slot still yields its own
-    :class:`SlotOutcome` with telemetry (the batch wall clock is
-    apportioned evenly across the group; the group's single compile
-    cost lands on its first slot, mirroring the scalar path where the
-    first slot misses and the rest hit) and, when a certifier is
-    attached, its own certificate.
+    one stacked solve.  Every row then finishes in :func:`_solve_slot`
+    (certification and outcome): the batch wall clock is apportioned
+    evenly across the group, and the group's single compile cost lands
+    on its first slot, mirroring the scalar path where the first slot
+    misses and the rest hit.
 
     A group-level failure (compile error, non-representable cost, ...)
     degrades gracefully: each slot of the group is re-solved through
-    the scalar :func:`_solve_one` path, which captures per-slot errors
-    as failed outcomes exactly like the serial executor.
+    the scalar pipeline, which captures per-slot errors.  With an
+    ``obs`` plan, per-slot spans are synthesized from telemetry and one
+    chunk-scope profile lands on the first outcome.
     """
-    cache = CompileCache(solver)
-    pid = os.getpid()
+    profiler = (
+        cProfile.Profile() if obs is not None and obs.profile > 0 else None
+    )
+    if profiler is not None:
+        profiler.enable()
+    cache = CompileCache(solver) if structure_cache else None
     outcomes: dict[int, SlotOutcome] = {}
     groups: list[tuple[Any, Any, list[int]]] = []
     for offset, problem in enumerate(chunk.problems):
@@ -670,285 +695,53 @@ def _solve_chunk_batched(
                 break
         else:
             groups.append((problem.model, problem.strategy, [offset]))
-    for model, strategy, offsets in groups:
-        group = [chunk.problems[offset] for offset in offsets]
-        compiled = None
-        cache_hit: bool | None = None
-        compile_s = 0.0
-        try:
-            if structure_cache:
-                compiled, cache_hit, compile_s = cache.lookup(model, strategy)
-            solve_start = time.perf_counter()
-            results = solver.solve_batch(group, compiled=compiled)
-            wall_s = (time.perf_counter() - solve_start) / len(group)
-        except Exception:
-            for offset in offsets:
-                outcomes[offset] = _solve_one(
-                    solver, chunk.index(offset), chunk.problems[offset],
-                    cache, structure_cache, certifier, pid,
-                )
-            continue
-        for j, (offset, problem, result) in enumerate(zip(offsets, group, results)):
-            index = chunk.index(offset)
+    try:
+        for model, strategy, offsets in groups:
+            group = [chunk.problems[offset] for offset in offsets]
+            compiled = None
+            cache_hit: bool | None = None
+            compile_s = 0.0
             try:
-                certificate = (
-                    _certify_result(certifier, problem, result, solver.name, index)
-                    if certifier is not None
-                    else None
-                )
-            except Exception as exc:
-                outcomes[offset] = _failed_outcome(
-                    index, exc, solver.name, wall_s=wall_s,
-                    compile_s=compile_s if j == 0 else 0.0,
-                    cache_hit=cache_hit if j == 0 else (
-                        True if structure_cache else None
-                    ),
-                )
-                continue
-            outcomes[offset] = SlotOutcome(
-                index=index,
-                result=result,
-                certificate=certificate,
-                telemetry=SlotTelemetry(
-                    solver=solver.name,
-                    wall_s=wall_s,
-                    compile_s=compile_s if j == 0 else 0.0,
-                    iterations=result.iterations,
-                    converged=result.converged,
-                    cache_hit=cache_hit if j == 0 else (
-                        True if structure_cache else None
-                    ),
-                    worker=pid,
-                    warm_start=False,
-                    certify_s=(
-                        certificate.certify_s if certificate is not None else 0.0
-                    ),
-                ),
-            )
-    return [outcomes[offset] for offset in range(len(chunk.problems))]
-
-
-def _solve_chunk_resilient(
-    solver: SlotSolver,
-    chunk: _Chunk,
-    structure_cache: bool,
-    certifier: Any | None,
-    resilience: ResilienceConfig,
-) -> list[SlotOutcome]:
-    """Solve a chunk under a retry/fallback-chain/quarantine policy.
-
-    Per slot: the primary solver gets ``retry.max_attempts`` tries,
-    then each fallback (instantiated once per chunk, with its own
-    compile cache) gets one.  Any attempt exceeding ``slot_timeout_s``
-    is discarded as a :class:`SlotTimeoutError`.  After
-    ``quarantine_after`` consecutive slots where the primary's whole
-    budget failed, the primary is skipped for the rest of the chunk
-    and slots go straight to the fallback chain.  A slot only becomes
-    a failed outcome when *every* solver in the chain failed.
-    """
-    pid = os.getpid()
-    lanes: list[tuple[SlotSolver, CompileCache, int, bool]] = [
-        (solver, CompileCache(solver), resilience.retry.max_attempts, True)
-    ]
-    for name in resilience.fallback:
-        fallback = create_solver(name)
-        lanes.append((fallback, CompileCache(fallback), 1, False))
-    consecutive_primary_failures = 0
-    quarantined = False
-    outcomes: list[SlotOutcome] = []
-    for offset, problem in enumerate(chunk.problems):
-        index = chunk.index(offset)
-        chain_errors: list[str] = []
-        attempts = 0
-        outcome: SlotOutcome | None = None
-        primary_failed = False
-        last_exc: Exception | None = None
-        last_tb = ""
-        last_compile_s = 0.0
-        last_cache_hit: bool | None = None
-        slot_start = time.perf_counter()
-        if quarantined:
-            chain_errors.append(
-                f"{solver.name}: quarantined after "
-                f"{consecutive_primary_failures} consecutive slot failures"
-            )
-        for lane_solver, cache, budget, is_primary in lanes:
-            if is_primary and quarantined:
-                continue
-            for attempt in range(1, budget + 1):
-                attempts += 1
-                compiled = None
-                cache_hit: bool | None = None
-                compile_s = 0.0
-                try:
-                    if structure_cache:
-                        compiled, cache_hit, compile_s = cache.lookup(
-                            problem.model, problem.strategy
-                        )
-                    solve_start = time.perf_counter()
-                    result = lane_solver.solve(problem, compiled=compiled)
-                    wall_s = time.perf_counter() - solve_start
-                    budget_s = resilience.slot_timeout_s
-                    if budget_s is not None and wall_s > budget_s:
-                        raise SlotTimeoutError(
-                            f"slot {index}: {lane_solver.name} attempt took "
-                            f"{wall_s:.3f}s > budget {budget_s:.3f}s"
-                        )
-                except Exception as exc:
-                    last_exc = exc
-                    last_tb = traceback.format_exc()
-                    last_compile_s = compile_s
-                    last_cache_hit = cache_hit
-                    chain_errors.append(
-                        f"{lane_solver.name}[attempt {attempt}]: "
-                        f"{type(exc).__name__}: {exc}"
+                if cache is not None:
+                    compiled, cache_hit, compile_s = cache.lookup(model, strategy)
+                solve_start = time.perf_counter()
+                results = solver.solve_batch(group, compiled=compiled)
+                wall_s = (time.perf_counter() - solve_start) / len(group)
+            except Exception:
+                for offset in offsets:
+                    outcomes[offset] = _solve_slot(
+                        solver, chunk.index(offset), chunk.problems[offset],
+                        cache, certifier,
                     )
-                    continue
-                degraded_result = bool(result.extras.get("degraded"))
-                certificate = (
-                    _certify_result(
-                        certifier, problem, result, lane_solver.name, index
-                    )
-                    if certifier is not None
-                    else None
-                )
-                outcome = SlotOutcome(
-                    index=index,
-                    result=result,
-                    certificate=certificate,
-                    attempts=attempts,
-                    degraded=degraded_result or not is_primary,
-                    fallback_solver=None if is_primary else lane_solver.name,
-                    chain_errors=tuple(chain_errors),
-                    telemetry=SlotTelemetry(
-                        solver=lane_solver.name,
-                        wall_s=wall_s,
-                        compile_s=compile_s,
-                        iterations=result.iterations,
-                        converged=result.converged,
-                        cache_hit=cache_hit,
-                        worker=pid,
-                        warm_start=False,
-                        certify_s=(
-                            certificate.certify_s if certificate is not None else 0.0
-                        ),
-                    ),
-                )
-                break
-            if outcome is not None:
-                if is_primary:
-                    consecutive_primary_failures = 0
-                break
-            if is_primary:
-                primary_failed = True
-        if outcome is None:
-            outcome = SlotOutcome(
-                index=index,
-                error=last_tb,
-                error_type=type(last_exc).__name__,
-                error_message=str(last_exc),
-                attempts=attempts,
-                chain_errors=tuple(chain_errors),
-                telemetry=SlotTelemetry(
-                    solver=solver.name,
-                    wall_s=time.perf_counter() - slot_start,
-                    compile_s=last_compile_s,
-                    iterations=0,
-                    converged=False,
-                    cache_hit=last_cache_hit,
-                    worker=pid,
-                    warm_start=False,
-                    error_type=type(last_exc).__name__,
-                ),
-            )
-        if primary_failed:
-            consecutive_primary_failures += 1
-            if (
-                resilience.quarantine_after
-                and consecutive_primary_failures >= resilience.quarantine_after
+                continue
+            for j, (offset, problem, result) in enumerate(
+                zip(offsets, group, results)
             ):
-                quarantined = True
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _timeout_chunk_outcomes(
-    chunk: _Chunk, budget_s: float, solver_name: str
-) -> list[SlotOutcome]:
-    """Failed outcomes for a pending batch abandoned at harvest time.
-
-    A batch that blows its harvest budget (``slot_timeout_s`` summed
-    over its slots) never delivers per-slot telemetry, so every slot
-    becomes a :class:`SlotTimeoutError` outcome attributed to the
-    harvesting process.
-    """
-    pid = os.getpid()
-    outcomes = []
-    for offset in range(len(chunk.problems)):
-        index = chunk.index(offset)
-        message = (
-            f"slot {index}: pending batch exceeded its harvest budget "
-            f"({budget_s:.3f}s for {len(chunk.problems)} slots); the "
-            "batch was abandoned and its late result discarded"
+                outcomes[offset] = _solve_slot(
+                    solver, chunk.index(offset), problem, None, certifier,
+                    solved=(result, wall_s),
+                    compile_s=compile_s if j == 0 else 0.0,
+                    cache_hit=cache_hit if j == 0 else (
+                        True if cache is not None else None
+                    ),
+                )
+    finally:
+        if profiler is not None:
+            profiler.disable()
+    ordered = [outcomes[offset] for offset in range(len(chunk.problems))]
+    if obs is not None:
+        rows = (
+            profile_hotspots(profiler, obs.profile) if profiler is not None else ()
         )
-        outcomes.append(
-            SlotOutcome(
-                index=index,
-                error=f"SlotTimeoutError: {message}",
-                error_type="SlotTimeoutError",
-                error_message=message,
-                telemetry=SlotTelemetry(
-                    solver=solver_name,
-                    wall_s=0.0,
-                    compile_s=0.0,
-                    iterations=0,
-                    converged=False,
-                    cache_hit=None,
-                    worker=pid,
-                    warm_start=False,
-                    error_type="SlotTimeoutError",
-                ),
+        for j, outcome in enumerate(ordered):
+            _attach_report(
+                outcome,
+                obs,
+                spans=(_synth_slot_span(outcome),) if obs.spans else (),
+                profile=rows if j == 0 else (),
+                profile_scope="chunk",
             )
-        )
-    return outcomes
-
-
-def _lost_chunk_outcomes(
-    chunk: _Chunk, exc: BaseException, solver_name: str
-) -> list[SlotOutcome]:
-    """Failed outcomes for a batch whose worker died mid-flight.
-
-    The socket client shrinks its fleet and keeps serving when a
-    worker vanishes; the batch that worker held comes back as one
-    :class:`~repro.exec.clients.WorkerLostError` per slot — a
-    structured failure, not a silent gap — while every completed
-    slot's merged metrics and spans survive untouched.
-    """
-    pid = os.getpid()
-    outcomes = []
-    for offset in range(len(chunk.problems)):
-        index = chunk.index(offset)
-        message = f"slot {index}: {exc}"
-        outcomes.append(
-            SlotOutcome(
-                index=index,
-                error=f"WorkerLostError: {message}",
-                error_type="WorkerLostError",
-                error_message=message,
-                telemetry=SlotTelemetry(
-                    solver=solver_name,
-                    wall_s=0.0,
-                    compile_s=0.0,
-                    iterations=0,
-                    converged=False,
-                    cache_hit=None,
-                    worker=pid,
-                    warm_start=False,
-                    error_type="WorkerLostError",
-                ),
-            )
-        )
-    return outcomes
+    return ordered
 
 
 def _ledger_environment() -> dict[str, Any]:
@@ -966,6 +759,11 @@ def _ledger_environment() -> dict[str, Any]:
 class _ExecStats:
     """What the execution layer reports back into the run summary."""
 
+    executor: str = "serial"
+    decision: str = "serial:requested"
+    workers: int = 1
+    usable_cpus: int = 1
+    start_method: str | None = None
     client: str | None = None
     pending_max: int = 0
     store_hits: int = 0
@@ -1079,8 +877,7 @@ class HorizonEngine:
             force it.
         worker_profile: when > 0, run cProfile around each slot's solve
             in the worker and ship the top-N hotspot rows back on the
-            report (per-slot on the scalar lane, per-chunk on the
-            batched/resilient lanes).
+            report (per-slot, except per-chunk on the batched lane).
 
     After each :meth:`run`, :attr:`last_summary` holds the run's
     :class:`~repro.obs.HorizonSummary` (phase breakdown, executor
@@ -1180,70 +977,35 @@ class HorizonEngine:
             return effective, "pool:clamped-to-cpus", usable
         return effective, "pool:requested", usable
 
-    def _plan_batch(self, batch: bool | None, warm_start: bool) -> bool:
-        """Whether this run takes the vectorized ``solve_batch`` lane.
-
-        ``None`` (default) auto-enables batching whenever the solver
-        exposes a callable ``solve_batch`` and nothing incompatible is
-        requested (warm-start chaining consumes slots sequentially;
-        resilience retries are per-slot by design).  ``True`` forces
-        the lane and raises on any incompatibility; ``False`` forces
-        the scalar per-slot path.
-        """
-        capable = callable(getattr(self.solver, "solve_batch", None))
-        if batch is None:
-            return capable and not warm_start and self.resilience is None
-        if not batch:
-            return False
-        if not capable:
-            raise ValueError(
-                f"solver {self.solver.name!r} has no solve_batch; use a "
-                "batch-capable solver (e.g. 'centralized-batch') or "
-                "run with batch=False"
-            )
-        if warm_start:
-            raise ValueError(
-                "batch=True cannot combine with warm_start: warm chaining "
-                "consumes slots sequentially"
-            )
-        if self.resilience is not None:
-            raise ValueError(
-                "batch=True cannot combine with a resilience config: "
-                "retry/fallback budgets are per-slot; run with batch=False"
-            )
-        return True
-
     def run(
         self,
         problems: Sequence[UFCProblem],
         warm_start: bool = False,
-        batch: bool | None = None,
     ) -> list[SlotOutcome]:
         """Solve every problem; outcomes are returned in input order.
+
+        A solver with a ``solve_batch`` method (``"centralized-batch"``)
+        takes the vectorized lane unless the run warm-starts or carries
+        a resilience config — both are per-slot by nature, so those
+        runs solve slot by slot.
 
         Args:
             problems: the horizon's slot problems.
             warm_start: chain each slot from the previous slot's warm
                 payload.  Requires a warm-start-capable solver and
-                ``workers=1`` (the chain is sequential by nature).
-                With an execution client attached the chain routes
-                through it at pipeline depth one: slot ``t + 1``'s
-                submission carries slot ``t``'s harvested payload, so
-                warm hints survive process and socket boundaries.
-            batch: take the vectorized ``solve_batch`` lane.  None
-                (default) auto-enables it for batch-capable solvers
-                (see :meth:`_plan_batch`); True forces it (raising on
-                an incompatible configuration); False forces the
-                scalar per-slot path.
+                ``workers=1`` (the chain is sequential by nature).  A
+                synchronous client runs the chain as one chunk; an
+                asynchronous one pipelines it at depth one: slot
+                ``t + 1``'s submission carries slot ``t``'s harvested
+                payload, so warm hints survive process and socket
+                boundaries.
 
         Raises:
-            ValueError: for warm-start or batch requests the
-                configuration cannot honor (clear error instead of
-                silent fallback).
+            ValueError: for warm-start requests the configuration
+                cannot honor (clear error instead of silent fallback).
         """
         problems = list(problems)
         start = time.perf_counter()
-        batched = self._plan_batch(batch, warm_start)
         if warm_start:
             if not self.solver.supports_warm_start:
                 raise ValueError(
@@ -1267,6 +1029,11 @@ class HorizonEngine:
                     "store: a store hit would break the chain's "
                     "warm-state hand-off"
                 )
+        batched = (
+            not warm_start
+            and self.resilience is None
+            and callable(getattr(self.solver, "solve_batch", None))
+        )
         ledger = self._open_ledger()
         self._run_ledger = ledger
         try:
@@ -1304,43 +1071,18 @@ class HorizonEngine:
                         environment=_ledger_environment(),
                         slots_expected=len(problems),
                     )
-                if warm_start:
-                    if self.client is not None:
-                        (
-                            outcomes,
-                            executor,
-                            decision,
-                            start_method,
-                            stats,
-                        ) = self._run_warm_client(problems)
-                    else:
-                        outcomes = self._run_warm(problems)
-                        executor, decision = "serial-warm", "serial:warm-start"
-                        start_method = None
-                        stats = _ExecStats()
-                    effective = 1
-                    usable = usable_cpu_count()
-                else:
-                    (
-                        outcomes,
-                        executor,
-                        decision,
-                        effective,
-                        usable,
-                        start_method,
-                        stats,
-                    ) = self._run_horizon(problems, batched)
+                outcomes, stats = self._execute(problems, warm_start, batched)
                 wall_s = time.perf_counter() - start
                 summary = HorizonSummary.from_outcomes(
                     outcomes,
                     solver=self.solver.name,
                     wall_s=wall_s,
-                    executor=executor,
-                    decision=decision,
+                    executor=stats.executor,
+                    decision=stats.decision,
                     workers_requested=self.workers,
-                    workers_effective=effective,
-                    usable_cpus=usable,
-                    mp_start_method=start_method,
+                    workers_effective=stats.workers,
+                    usable_cpus=stats.usable_cpus,
+                    mp_start_method=stats.start_method,
                     client=stats.client,
                     max_pending_observed=stats.pending_max,
                     store_hits=stats.store_hits,
@@ -1605,398 +1347,318 @@ class HorizonEngine:
                 if not cert.ok:
                     reg.counter("repro_cert_suspect_total", solver=solver).inc()
 
+
     # -- executors -----------------------------------------------------------
 
-    def _run_warm(self, problems: list[UFCProblem]) -> list[SlotOutcome]:
-        cache = CompileCache(self.solver)
-        pid = os.getpid()
-        outcomes: list[SlotOutcome] = []
-        warm = None
-        for index, problem in enumerate(problems):
-            compiled = None
-            cache_hit: bool | None = None
-            compile_s = 0.0
-            had_warm = warm is not None
-            start = time.perf_counter()
-            try:
-                if self.structure_cache:
-                    compiled, cache_hit, compile_s = cache.lookup(
-                        problem.model, problem.strategy
-                    )
-                solve_start = time.perf_counter()
-                result = self.solver.solve(problem, compiled=compiled, warm=warm)
-                wall_s = time.perf_counter() - solve_start
-                warm = result.warm
-                certificate = (
-                    _certify_result(
-                        self.certifier, problem, result, self.solver.name, index
-                    )
-                    if self.certifier is not None
-                    else None
-                )
-                outcomes.append(
-                    SlotOutcome(
-                        index=index,
-                        result=result,
-                        certificate=certificate,
-                        telemetry=SlotTelemetry(
-                            solver=self.solver.name,
-                            wall_s=wall_s,
-                            compile_s=compile_s,
-                            iterations=result.iterations,
-                            converged=result.converged,
-                            cache_hit=cache_hit,
-                            worker=pid,
-                            warm_start=had_warm,
-                            certify_s=(
-                                certificate.certify_s
-                                if certificate is not None
-                                else 0.0
-                            ),
-                        ),
-                    )
-                )
-            except Exception as exc:
-                # A poisoned slot breaks the chain: the next slot
-                # cold-starts, mirroring a restarted solver.
-                warm = None
-                outcomes.append(
-                    _failed_outcome(
-                        index,
-                        exc,
-                        self.solver.name,
-                        wall_s=time.perf_counter() - start,
-                        compile_s=compile_s,
-                        cache_hit=cache_hit,
-                        warm_start=had_warm,
-                    )
-                )
-            self._absorb(outcomes[-1])
-        return outcomes
+    def _execute(
+        self, problems: list[UFCProblem], warm_start: bool, batched: bool
+    ) -> tuple[list[SlotOutcome], _ExecStats]:
+        """Resolve the run's client, then run the warm chain or the cold
+        horizon over it.
 
-    def _run_warm_client(
-        self, problems: list[UFCProblem]
-    ) -> tuple[list[SlotOutcome], str, str, str | None, _ExecStats]:
-        """Warm-chain a horizon through the attached execution client.
-
-        Warm chaining is a sequential dependency, so the chain
-        pipelines at depth one: each single-slot chunk is submitted
-        only after the previous one is harvested, and the submission
-        carries the harvested :attr:`SlotResult.warm` payload as the
-        next slot's hint.  The solves themselves run wherever the
-        client puts them (pool worker, socket worker), which lets a
-        warm chain share a long-lived remote fleet with cold runs.  A
-        failed slot — including a lost worker — ships no payload, so
-        the next slot cold-restarts the chain exactly as the
-        in-process loop does.
-
-        Returns ``(outcomes, executor, decision, start_method, stats)``.
-        """
-        stats = _ExecStats()
-        spec = self.client
-        owns = False
-        if isinstance(spec, str):
-            client = create_client(
-                spec, workers=self.workers, oversubscribe=self.oversubscribe
-            )
-            owns = True
-        else:
-            client = spec
-        stats.client = client.name
-        outcomes: list[SlotOutcome] = []
-        warm = None
-        try:
-            for index, problem in enumerate(problems):
-                chunk = _Chunk(start=index, problems=[problem])
-                try:
-                    client.submit(
-                        _solve_chunk_warm,
-                        self.solver,
-                        chunk,
-                        self.structure_cache,
-                        self.certifier,
-                        warm,
-                    )
-                    got = None
-                    while got is None:
-                        got = client.wait_next(None)
-                    chunk_outcomes = got[1]
-                except WorkerLostError as exc:
-                    chunk_outcomes = _lost_chunk_outcomes(
-                        chunk, exc, self.solver.name
-                    )
-                outcome = chunk_outcomes[0]
-                warm = (
-                    outcome.result.warm
-                    if outcome.ok and outcome.result is not None
-                    else None
-                )
-                outcomes.append(outcome)
-                self._absorb(outcome)
-        finally:
-            if owns:
-                client.close()
-        name = client.name
-        return (
-            outcomes,
-            f"{name}-warm",
-            f"client:{name}:warm-chain",
-            getattr(client, "start_method", None),
-            stats,
-        )
-
-    def _store_hit_outcome(
-        self,
-        index: int,
-        problem: UFCProblem,
-        result: SlotResult,
-        load_s: float,
-    ) -> SlotOutcome:
-        """Synthesize the outcome for a slot resolved from the store.
-
-        The stored result is re-certified in-process when the engine
-        certifies (trust the digest for identity, not for feasibility
-        bookkeeping); a certification crash degrades to a failed
-        outcome exactly as it would on a fresh solve.
-        """
-        try:
-            certificate = (
-                _certify_result(
-                    self.certifier, problem, result, self.solver.name, index
-                )
-                if self.certifier is not None
-                else None
-            )
-        except Exception as exc:
-            return _failed_outcome(
-                index, exc, self.solver.name, wall_s=load_s
-            )
-        return SlotOutcome(
-            index=index,
-            result=result,
-            certificate=certificate,
-            telemetry=SlotTelemetry(
-                solver=self.solver.name,
-                wall_s=load_s,
-                compile_s=0.0,
-                iterations=result.iterations,
-                converged=result.converged,
-                cache_hit=None,
-                worker=os.getpid(),
-                warm_start=False,
-                store_hit=True,
-                certify_s=(
-                    certificate.certify_s if certificate is not None else 0.0
-                ),
-            ),
-        )
-
-    def _run_horizon(
-        self, problems: list[UFCProblem], batched: bool
-    ) -> tuple[
-        list[SlotOutcome], str, str, int, int, str | None, _ExecStats
-    ]:
-        """Solve a cold horizon through the execution-client layer.
-
-        The legacy serial/pool lanes are policies over one scheduler
-        now: with ``client=None`` the worker plan picks the in-process
-        or multiprocessing backend and keeps the historical executor
-        strings (``"serial"``, ``"pool"``, …); an explicit client is
-        named verbatim (``executor=client.name``,
-        ``decision="client:<name>"``).  When a result store is
-        attached, every slot is probed in the parent before anything
-        is scheduled; only misses reach the client, and fresh
-        non-degraded results are written back after harvest.
-
-        Returns ``(outcomes, executor, decision, effective_workers,
-        usable_cpus, start_method, stats)``.
+        With a result store attached, every slot is probed in the
+        parent before anything is scheduled; only misses reach the
+        client.  The executor vocabulary follows the client: with
+        ``client=None`` the historical strings (``"serial"``,
+        ``"pool"``, ``"serial-warm"``), otherwise the client's name
+        (``"<client>"``, ``"<client>-warm"``); a batched run appends
+        ``"-batch"``.
         """
         stats = _ExecStats()
         outcomes: list[SlotOutcome | None] = [None] * len(problems)
-
-        # Store probe: parent-process, before any scheduling.
-        keys: list[str | None] = [None] * len(problems)
-        if self.store is None:
-            to_solve: list[tuple[int, UFCProblem]] = list(enumerate(problems))
-        else:
-            to_solve = []
-            for index, problem in enumerate(problems):
-                key = problem_digest(problem, self.solver.name)
-                keys[index] = key
-                load_start = time.perf_counter()
-                result = self.store.get(key)
-                load_s = time.perf_counter() - load_start
-                if result is None:
-                    stats.store_misses += 1
-                    to_solve.append((index, problem))
-                else:
-                    stats.store_hits += 1
-                    outcomes[index] = self._store_hit_outcome(
-                        index, problem, result, load_s
-                    )
-                    self._absorb(outcomes[index])
-
-        # Client resolution: None keeps the classic worker plan and
-        # its executor vocabulary; a name or instance takes over.
-        spec = self.client
-        owns = False
-        client: ExecutionClient | None = None
-        if spec is None:
-            effective, decision, usable = self.plan_workers(len(to_solve))
-            executor = "pool" if effective > 1 else "serial"
-            if to_solve:
-                if effective > 1:
-                    client = MultiprocessingClient(
-                        workers=effective, oversubscribe=True
-                    )
-                else:
-                    client = InProcessClient()
-                owns = True
-        else:
-            usable = usable_cpu_count()
-            if isinstance(spec, str):
-                client = create_client(
-                    spec, workers=self.workers, oversubscribe=self.oversubscribe
-                )
-                owns = True
-            else:
-                client = spec
-            effective = getattr(client, "workers", 1)
-            decision = f"client:{client.name}"
-            executor = client.name
-        start_method = getattr(client, "start_method", None)
-        stats.client = None if client is None else client.name
-        supervisor: FleetSupervisor | None = None
-
+        keys = self._probe_store(problems, outcomes, stats)
+        to_solve = [
+            (index, problem)
+            for index, problem in enumerate(problems)
+            if outcomes[index] is None
+        ]
+        client, owns = self._open_client(len(to_solve), stats)
         try:
-            if to_solve:
-                chunks = self._chunk_tasks(to_solve, len(problems), client, effective)
-                budget_fn = None
-                on_timeout = None
-                solver_name = self.solver.name
-                if (
-                    self.resilience is not None
-                    and self.resilience.slot_timeout_s is not None
-                    and getattr(client, "asynchronous", False)
-                ):
-                    timeout_s = self.resilience.slot_timeout_s
-
-                    def budget_fn(task: tuple[Any, ...]) -> float:
-                        return timeout_s * len(task[1].problems)
-
-                    def on_timeout(task: tuple[Any, ...]) -> list[SlotOutcome]:
-                        return _timeout_chunk_outcomes(
-                            task[1], budget_fn(task), solver_name
-                        )
-
-                if self.supervision is not None and getattr(
-                    client, "asynchronous", False
-                ):
-                    # The supervisor owns the clock: each *attempt* gets
-                    # the per-batch budget, and the scheduler's own
-                    # deadline enforcement is turned off — resubmission
-                    # extends a batch's life past any single attempt.
-                    supervisor = FleetSupervisor(
-                        client,
-                        self.supervision,
-                        budget_s=budget_fn,
-                        metrics=self.metrics,
-                    )
-                    stats.fleet = supervisor.stats
-                scheduler = BatchScheduler(
-                    supervisor if supervisor is not None else client,
-                    max_pending=self.max_pending,
-                    telemetry=self.telemetry,
-                    metrics=self.metrics,
+            if warm_start:
+                stats.workers = 1
+                if self.client is None:
+                    stats.executor, stats.decision = "serial-warm", "serial:warm-start"
+                else:
+                    stats.executor = f"{stats.client}-warm"
+                    stats.decision = f"client:{stats.client}:warm-chain"
+                self._run_chain(client, problems, outcomes)
+            elif to_solve:
+                self._run_cold(
+                    client, to_solve, len(problems), keys, batched, outcomes, stats
                 )
-
-                def on_error(
-                    task: tuple[Any, ...], exc: BaseException
-                ) -> list[SlotOutcome]:
-                    # A lost worker becomes structured per-slot failures
-                    # (the fleet already shrank); under supervision this
-                    # only fires once the retry budget is spent.  A
-                    # supervised batch whose every attempt blew its
-                    # budget gets the same timeout verdict the
-                    # scheduler's own enforcement would give.  Anything
-                    # else is a real bug and propagates as before.
-                    if isinstance(exc, WorkerLostError):
-                        return _lost_chunk_outcomes(task[1], exc, solver_name)
-                    if isinstance(exc, TaskTimeoutError) and supervisor is not None:
-                        budget = budget_fn(task) if budget_fn is not None else 0.0
-                        return _timeout_chunk_outcomes(task[1], budget, solver_name)
-                    raise exc
-
-                plan = self._make_obs_plan()
-                tasks = [
-                    (
-                        self.solver,
-                        chunk,
-                        self.structure_cache,
-                        self.certifier,
-                        self.resilience,
-                        batched,
-                        plan,
-                    )
-                    for chunk in chunks
-                ]
-                # The supervisor assigns its task ids in submission
-                # order, which is list order here — that is what lets
-                # the harvest hook look a chunk's retry lineage up.
-                task_order = {id(task): i for i, task in enumerate(tasks)}
-
-                def on_harvest(
-                    task: tuple[Any, ...], result: Any, depth: int
-                ) -> None:
-                    if supervisor is not None:
-                        lin = supervisor.lineage(task_order[id(task)])
-                        if lin is not None:
-                            for outcome in result:
-                                outcome.lineage = lin
-                    for outcome in result:
-                        self._absorb(outcome, pending=depth)
-                        # Write back at harvest, not at run end: a run
-                        # killed mid-horizon keeps every completed
-                        # slot's result on disk, which is what makes
-                        # `repro resume` skip the finished work.  Only
-                        # fresh, trustworthy results land (no degraded
-                        # or fallback allocations — a healthy re-run
-                        # should never inherit those).
-                        if (
-                            self.store is not None
-                            and keys[outcome.index] is not None
-                            and outcome.ok
-                            and outcome.result is not None
-                            and not outcome.degraded
-                        ):
-                            self.store.put(keys[outcome.index], outcome.result)
-
-                for chunk_outcomes in scheduler.map(
-                    _solve_chunk,
-                    tasks,
-                    budget_s=None if supervisor is not None else budget_fn,
-                    on_timeout=None if supervisor is not None else on_timeout,
-                    on_result=on_harvest,
-                    on_error=on_error,
-                ):
-                    for outcome in chunk_outcomes:
-                        outcomes[outcome.index] = outcome
-                stats.pending_max = scheduler.pending_max_observed
         finally:
             if owns and client is not None:
                 client.close()
-
         if batched:
-            executor = f"{executor}-batch"
-        return (
-            [outcome for outcome in outcomes if outcome is not None],
-            executor,
-            decision,
-            effective,
-            usable,
-            start_method,
-            stats,
+            stats.executor = f"{stats.executor}-batch"
+        return [outcome for outcome in outcomes if outcome is not None], stats
+
+    def _probe_store(
+        self,
+        problems: list[UFCProblem],
+        outcomes: list[SlotOutcome | None],
+        stats: _ExecStats,
+    ) -> list[str | None]:
+        """Resolve store hits in place; returns every slot's store key.
+
+        A stored result is re-certified in-process when the engine
+        certifies (trust the digest for identity, not for feasibility
+        bookkeeping).
+        """
+        keys: list[str | None] = [None] * len(problems)
+        if self.store is None:
+            return keys
+        for index, problem in enumerate(problems):
+            key = keys[index] = problem_digest(problem, self.solver.name)
+            load_start = time.perf_counter()
+            result = self.store.get(key)
+            load_s = time.perf_counter() - load_start
+            if result is None:
+                stats.store_misses += 1
+                continue
+            stats.store_hits += 1
+            outcomes[index] = _solve_slot(
+                self.solver, index, problem, None, self.certifier,
+                solved=(result, load_s), store_hit=True,
+            )
+            self._absorb(outcomes[index])
+        return keys
+
+    def _open_client(
+        self, n_slots: int, stats: _ExecStats
+    ) -> tuple[ExecutionClient | None, bool]:
+        """The run's execution client and whether the run owns it.
+
+        ``client=None`` keeps the classic worker plan: the
+        multiprocessing client when :meth:`plan_workers` picks a pool,
+        the in-process client otherwise (and no client at all when
+        nothing is left to solve).  A registry name is instantiated
+        with this engine's ``workers`` / ``oversubscribe`` and owned by
+        the run; an instance stays the caller's.  Fills in the
+        executor fields of ``stats``.
+        """
+        spec = self.client
+        if spec is None:
+            stats.workers, stats.decision, stats.usable_cpus = self.plan_workers(
+                n_slots
+            )
+            stats.executor = "pool" if stats.workers > 1 else "serial"
+            if not n_slots:
+                return None, False
+            if stats.workers > 1:
+                client: ExecutionClient = MultiprocessingClient(
+                    workers=stats.workers, oversubscribe=True
+                )
+            else:
+                client = InProcessClient()
+            owns = True
+        else:
+            stats.usable_cpus = usable_cpu_count()
+            owns = isinstance(spec, str)
+            client = (
+                create_client(
+                    spec, workers=self.workers, oversubscribe=self.oversubscribe
+                )
+                if owns
+                else spec
+            )
+            stats.workers = getattr(client, "workers", 1)
+            stats.executor, stats.decision = client.name, f"client:{client.name}"
+        stats.client = client.name
+        stats.start_method = getattr(client, "start_method", None)
+        return client, owns
+
+    def _run_chain(
+        self,
+        client: ExecutionClient | None,
+        problems: list[UFCProblem],
+        outcomes: list[SlotOutcome | None],
+    ) -> None:
+        """Warm-chain the horizon through ``client``.
+
+        A synchronous client gets the whole chain as one chunk, so one
+        :class:`CompileCache` spans it and the payload threads from
+        slot to slot inside :func:`_solve_chunk`.  An asynchronous
+        client pipelines at depth one: each single-slot chunk is
+        submitted only after the previous one is harvested and carries
+        the harvested :attr:`SlotResult.warm` payload, so the chain's
+        state crosses process and socket boundaries with the task and a
+        warm chain can share a long-lived remote fleet with cold runs.
+        A failed slot — a lost worker included — ships no payload, and
+        the next slot cold-restarts the chain.
+        """
+        if client is None or not problems:
+            return
+        if getattr(client, "asynchronous", False):
+            chunks = [
+                _Chunk(start=index, problems=[problem])
+                for index, problem in enumerate(problems)
+            ]
+        else:
+            chunks = [_Chunk(start=0, problems=problems)]
+        plan = self._make_obs_plan()
+        warm = None
+        for chunk in chunks:
+            try:
+                client.submit(
+                    _solve_chunk,
+                    self.solver,
+                    chunk,
+                    self.structure_cache,
+                    self.certifier,
+                    None,  # resilience: excluded from warm chains
+                    False,  # batched
+                    plan,
+                    True,  # warm_start
+                    warm,
+                )
+                got = None
+                while got is None:
+                    got = client.wait_next(None)
+                chunk_outcomes = got[1]
+            except WorkerLostError as exc:
+                chunk_outcomes = _failed_chunk_outcomes(
+                    chunk, "WorkerLostError", str(exc), self.solver.name
+                )
+            last = chunk_outcomes[-1]
+            warm = last.result.warm if last.ok else None
+            for outcome in chunk_outcomes:
+                outcomes[outcome.index] = outcome
+                self._absorb(outcome)
+
+    def _run_cold(
+        self,
+        client: ExecutionClient,
+        to_solve: list[tuple[int, UFCProblem]],
+        total: int,
+        keys: list[str | None],
+        batched: bool,
+        outcomes: list[SlotOutcome | None],
+        stats: _ExecStats,
+    ) -> None:
+        """Solve the pending slots as chunks scheduled over ``client``.
+
+        Fresh non-degraded results are written back to the store at
+        harvest time.
+        """
+        chunks = self._chunk_tasks(to_solve, total, client, stats.workers)
+        budget_fn = None
+        on_timeout = None
+        solver_name = self.solver.name
+
+        def timed_out(task: tuple[Any, ...], budget_s: float) -> list[SlotOutcome]:
+            chunk = task[1]
+            return _failed_chunk_outcomes(
+                chunk,
+                "SlotTimeoutError",
+                f"pending batch exceeded its harvest budget ({budget_s:.3f}s "
+                f"for {len(chunk.problems)} slots); the batch was abandoned "
+                "and its late result discarded",
+                solver_name,
+            )
+
+        if (
+            self.resilience is not None
+            and self.resilience.slot_timeout_s is not None
+            and getattr(client, "asynchronous", False)
+        ):
+            timeout_s = self.resilience.slot_timeout_s
+
+            def budget_fn(task: tuple[Any, ...]) -> float:
+                return timeout_s * len(task[1].problems)
+
+            def on_timeout(task: tuple[Any, ...]) -> list[SlotOutcome]:
+                return timed_out(task, budget_fn(task))
+
+        supervisor: FleetSupervisor | None = None
+        if self.supervision is not None and getattr(client, "asynchronous", False):
+            # The supervisor owns the clock: each *attempt* gets the
+            # per-batch budget, and the scheduler's own deadline
+            # enforcement is turned off — resubmission extends a
+            # batch's life past any single attempt.
+            supervisor = FleetSupervisor(
+                client,
+                self.supervision,
+                budget_s=budget_fn,
+                metrics=self.metrics,
+            )
+            stats.fleet = supervisor.stats
+        scheduler = BatchScheduler(
+            supervisor if supervisor is not None else client,
+            max_pending=self.max_pending,
+            telemetry=self.telemetry,
+            metrics=self.metrics,
         )
+
+        def on_error(task: tuple[Any, ...], exc: BaseException) -> list[SlotOutcome]:
+            # A lost worker becomes structured per-slot failures (the
+            # fleet already shrank); under supervision this only fires
+            # once the retry budget is spent.  A supervised batch whose
+            # every attempt blew its budget gets the same timeout
+            # verdict the scheduler's own enforcement would give.
+            # Anything else is a real bug and propagates.
+            if isinstance(exc, WorkerLostError):
+                return _failed_chunk_outcomes(
+                    task[1], "WorkerLostError", str(exc), solver_name
+                )
+            if isinstance(exc, TaskTimeoutError) and supervisor is not None:
+                return timed_out(
+                    task, budget_fn(task) if budget_fn is not None else 0.0
+                )
+            raise exc
+
+        plan = self._make_obs_plan()
+        tasks = [
+            (
+                self.solver,
+                chunk,
+                self.structure_cache,
+                self.certifier,
+                self.resilience,
+                batched,
+                plan,
+            )
+            for chunk in chunks
+        ]
+        # The supervisor assigns its task ids in submission order, which
+        # is list order here — that is what lets the harvest hook look a
+        # chunk's retry lineage up.
+        task_order = {id(task): i for i, task in enumerate(tasks)}
+
+        def on_harvest(task: tuple[Any, ...], result: Any, depth: int) -> None:
+            if supervisor is not None:
+                lin = supervisor.lineage(task_order[id(task)])
+                if lin is not None:
+                    for outcome in result:
+                        outcome.lineage = lin
+            for outcome in result:
+                self._absorb(outcome, pending=depth)
+                # Write back at harvest, not at run end: a run killed
+                # mid-horizon keeps every completed slot's result on
+                # disk, which is what makes `repro resume` skip the
+                # finished work.  Only fresh, trustworthy results land
+                # (no degraded or fallback allocations — a healthy
+                # re-run should never inherit those).
+                if (
+                    self.store is not None
+                    and keys[outcome.index] is not None
+                    and outcome.ok
+                    and outcome.result is not None
+                    and not outcome.degraded
+                ):
+                    self.store.put(keys[outcome.index], outcome.result)
+
+        for chunk_outcomes in scheduler.map(
+            _solve_chunk,
+            tasks,
+            budget_s=None if supervisor is not None else budget_fn,
+            on_timeout=None if supervisor is not None else on_timeout,
+            on_result=on_harvest,
+            on_error=on_error,
+        ):
+            for outcome in chunk_outcomes:
+                outcomes[outcome.index] = outcome
+        stats.pending_max = scheduler.pending_max_observed
 
     def _chunk_tasks(
         self,
@@ -2036,27 +1698,3 @@ class HorizonEngine:
                 )
             )
         return chunks
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    workers: int = 1,
-    telemetry: Telemetry | None = None,
-    oversubscribe: bool = False,
-) -> list[_R]:
-    """Removed — the sweep map lives at :func:`repro.exec.parallel_map`.
-
-    The order-preserving sweep map moved to the execution layer, where
-    it shares mp-context pinning, CPU clamping and pipelining with the
-    horizon engine's clients.  This name forwarded with a
-    ``DeprecationWarning`` for one release; it is now a hard error so
-    stale imports fail loudly instead of silently diverging from the
-    exec-layer behavior.
-    """
-    del fn, items, workers, telemetry, oversubscribe
-    raise RuntimeError(
-        "repro.engine.horizon.parallel_map was removed; use "
-        "repro.exec.parallel_map (same signature, plus client/"
-        "max_pending support)"
-    )

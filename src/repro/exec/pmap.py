@@ -1,11 +1,9 @@
 """Order-preserving parallel map over an execution client.
 
-The canonical home of what used to be
-``repro.engine.horizon.parallel_map``: the sweep drivers (Fig. 9/10)
-evaluate independent grid points through the same client layer the
-horizon engine solves slots through, so mp-context pinning, CPU
-clamping and pipelining live in exactly one place
-(:mod:`repro.exec.clients`).
+The sweep drivers (Fig. 9/10) evaluate independent grid points through
+the same client layer the horizon engine solves slots through, so
+mp-context pinning, CPU clamping and pipelining live in exactly one
+place (:mod:`repro.exec.clients`).
 """
 
 from __future__ import annotations

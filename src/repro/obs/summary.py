@@ -43,7 +43,10 @@ class HorizonSummary:
         overhead_s: wall time not explained by (amortized) compile and
             solve — process-pool IPC, argument/result pickling, chunk
             imbalance and per-slot bookkeeping.
-        executor: ``"serial"``, ``"pool"`` or ``"serial-warm"``.
+        executor: the lane that ran: ``"serial"`` / ``"pool"``
+            (``client=None``) or the client's name, with ``"-warm"``
+            for a warm chain (``"serial-warm"``, ``"mp-warm"``) or
+            ``"-batch"`` for the batched lane (``"serial-batch"``).
         decision: why that executor ran (e.g.
             ``"serial:fallback-single-cpu"``, ``"pool:clamped-to-cpus"``).
         workers_requested / workers_effective: pool sizing before and

@@ -1,8 +1,9 @@
 """Worker-side observability: reports shipped back with each slot.
 
-The execution clients run :func:`~repro.engine.horizon._solve_chunk` in
-other processes (or, over the socket client, other machines), where the
-parent's :class:`~repro.obs.metrics.MetricsRegistry` and
+The execution clients run the engine's chunk loop
+(:func:`~repro.engine.horizon._solve_chunk`) in other processes (or,
+over the socket client, other machines), where the parent's
+:class:`~repro.obs.metrics.MetricsRegistry` and
 :class:`~repro.obs.spans.SpanTracer` cannot see.  This module defines
 the compact, picklable bridge across that boundary:
 
@@ -96,8 +97,8 @@ class WorkerReport:
             requested); each row has ``func``, ``calls``, ``tottime``
             and ``cumtime``.
         profile_scope: ``"slot"`` when the profile wraps one slot,
-            ``"chunk"`` when the batched/resilient lanes could only
-            profile the whole chunk (attached to its first outcome).
+            ``"chunk"`` when the batched lane could only profile the
+            whole chunk (attached to its first outcome).
     """
 
     worker: int

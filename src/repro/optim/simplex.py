@@ -26,54 +26,15 @@ __all__ = [
 ]
 
 
-def _project_simplex_rows(v: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection of a (R, n) matrix.
-
-    Each row ``r`` is projected onto ``{x >= 0, sum(x) = totals[r]}``
-    with exactly the arithmetic of the 1-D algorithm (sort, cumsum,
-    last-True pivot), so every row is bit-identical to the scalar call
-    on that row.  Rows with ``totals[r] == 0`` project to zero.
-    """
-    rows, n = v.shape
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - totals[:, None]
-    ks = np.arange(1, n + 1)
-    cond = u - css / ks > 0
-    # Per row: the last True index, or 0 when the prefix is empty in
-    # floating point (mirrors the 1-D pivot rule exactly).
-    any_true = cond.any(axis=1)
-    pivot = np.where(any_true, n - 1 - np.argmax(cond[:, ::-1], axis=1), 0)
-    theta = css[np.arange(rows), pivot] / (pivot + 1.0)
-    out = np.maximum(v - theta[:, None], 0.0)
-    out[totals == 0] = 0.0
-    return out
-
-
-def project_simplex(
-    v: np.ndarray, total: float | np.ndarray = 1.0
-) -> np.ndarray:
+def project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
     """Exact Euclidean projection of ``v`` onto ``{x >= 0, sum(x) = total}``.
 
     Uses the classic O(n log n) sort-based algorithm (Held, Wolfe &
-    Crowder 1974).  ``total`` must be non-negative.
-
-    ``v`` may be 1-D (one point) or 2-D (one point per row, projected
-    row-wise); in the 2-D case ``total`` may be a scalar shared by all
-    rows or a per-row vector.  Each 2-D row is bit-identical to the
-    scalar call on that row, and 1-D behavior is unchanged.
+    Crowder 1974).  ``v`` must be 1-D and ``total`` non-negative.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim == 2:
-        totals = np.broadcast_to(
-            np.asarray(total, dtype=float), (v.shape[0],)
-        ).copy()
-        if (totals < 0).any():
-            raise ValueError(
-                f"total must be non-negative, got {totals.min()}"
-            )
-        return _project_simplex_rows(v, totals)
     if v.ndim != 1:
-        raise ValueError(f"expected a 1-d or 2-d array, got shape {v.shape}")
+        raise ValueError(f"expected a 1-d array, got shape {v.shape}")
     total = float(total)
     if total < 0:
         raise ValueError(f"total must be non-negative, got {total}")

@@ -32,6 +32,7 @@ from repro.engine import (
     usable_cpu_count,
 )
 from repro.engine import registry as registry_module
+from repro.engine.resilience import ResilienceConfig
 from repro.obs import RecordingTelemetry
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator, build_model
@@ -298,6 +299,51 @@ class TestPoisonedSlot:
         sim = Simulator(week_model, week_bundle, solver=solver)
         with pytest.raises(RuntimeError, match=r"slot 3"):
             sim.run(HYBRID, hours=6)
+
+
+class _CrashingCertifier:
+    """A certifier whose every audit raises, as a numerically broken one would."""
+
+    def certify(self, problem, allocation, **kwargs):
+        """Raise instead of certifying."""
+        raise FloatingPointError("certifier overflow")
+
+
+class TestCertifierCrash:
+    """A certifier crash is the slot's typed failure on every lane."""
+
+    @pytest.mark.parametrize("lane", ["scalar", "batch", "resilient"])
+    def test_crash_becomes_typed_slot_failures(self, week_bundle, week_model, lane):
+        sim = Simulator(week_model, week_bundle)
+        problems = [sim.problem_for_slot(t, HYBRID) for t in range(3)]
+        resilience = ResilienceConfig() if lane == "resilient" else None
+        engine = HorizonEngine(
+            "centralized-batch" if lane == "batch" else "centralized",
+            certify=_CrashingCertifier(),
+            resilience=resilience,
+        )
+        outcomes = engine.run(problems)
+        summary = engine.last_summary
+        assert summary.executor == ("serial-batch" if lane == "batch" else "serial")
+        assert summary.error_types == {"FloatingPointError": len(problems)}
+        assert [o.index for o in outcomes] == list(range(len(problems)))
+        for outcome in outcomes:
+            assert not outcome.ok and outcome.result is None
+            assert outcome.error_type == "FloatingPointError"
+            assert outcome.error_message == "certifier overflow"
+            assert outcome.telemetry.error_type == "FloatingPointError"
+            if lane == "resilient":
+                # Each primary attempt solved and then failed its audit.
+                budget = resilience.retry.max_attempts
+                assert outcome.attempts == budget
+                assert len(outcome.chain_errors) == budget
+                assert all(
+                    "FloatingPointError: certifier overflow" in entry
+                    for entry in outcome.chain_errors
+                )
+            else:
+                assert outcome.attempts == 1
+                assert outcome.chain_errors == ()
 
 
 class TestWarmStart:

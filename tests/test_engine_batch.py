@@ -143,12 +143,6 @@ class TestEngineLane:
         engine.run(hybrid_problems[:4])
         assert engine.last_summary.executor == "serial"
 
-    def test_batch_false_forces_scalar_path(self, hybrid_problems):
-        engine = HorizonEngine("centralized-batch")
-        outcomes = engine.run(hybrid_problems[:4], batch=False)
-        assert engine.last_summary.executor == "serial"
-        assert all(not o.result.extras.get("batched", False) for o in outcomes)
-
     def test_parity_with_scalar_lane(self, hybrid_problems):
         batched = HorizonEngine("centralized-batch").run(hybrid_problems)
         scalar = HorizonEngine("centralized").run(hybrid_problems)
@@ -191,23 +185,6 @@ class TestEngineLane:
 
 
 class TestEngineLaneErrors:
-    def test_batch_true_requires_capable_solver(self, hybrid_problems):
-        engine = HorizonEngine("centralized")
-        with pytest.raises(ValueError, match="solve_batch"):
-            engine.run(hybrid_problems[:2], batch=True)
-
-    def test_batch_true_rejects_warm_start(self, hybrid_problems):
-        engine = HorizonEngine("centralized-batch")
-        with pytest.raises(ValueError, match="warm"):
-            engine.run(hybrid_problems[:2], warm_start=True, batch=True)
-
-    def test_batch_true_rejects_resilience(self, hybrid_problems):
-        engine = HorizonEngine(
-            "centralized-batch", resilience=ResilienceConfig()
-        )
-        with pytest.raises(ValueError, match="resilience"):
-            engine.run(hybrid_problems[:2], batch=True)
-
     def test_resilience_auto_disables_batching(self, hybrid_problems):
         engine = HorizonEngine(
             "centralized-batch", resilience=ResilienceConfig()

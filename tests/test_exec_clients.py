@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
-from repro.engine.horizon import parallel_map as legacy_parallel_map
 from repro.engine.protocol import SlotResult
 from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.exec import (
@@ -513,10 +512,10 @@ class TestParallelMapMigration:
         assert event.tags["client"] == "in-process"
 
     def test_legacy_horizon_shim_is_a_hard_error(self):
-        # The DeprecationWarning shim expired: stale imports must fail
-        # loudly, with the pointer to the exec-layer map.
-        with pytest.raises(RuntimeError, match="repro.exec.parallel_map"):
-            legacy_parallel_map(_square, [3])
+        # The expired shim is gone: a stale import fails loudly at
+        # import time; the map lives at repro.exec.parallel_map.
+        with pytest.raises(ImportError, match="parallel_map"):
+            from repro.engine.horizon import parallel_map  # noqa: F401
 
     def test_engine_reexport_is_the_exec_map(self):
         from repro.engine import parallel_map as engine_map

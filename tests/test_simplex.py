@@ -48,43 +48,11 @@ class TestProjectSimplex:
             project_simplex(np.array([1.0]), -1.0)
 
     def test_3d_input_rejected(self):
-        with pytest.raises(ValueError):
+        # Only 1-D points project; matrices of any rank are rejected.
+        with pytest.raises(ValueError, match="1-d"):
             project_simplex(np.zeros((2, 2, 2)), 1.0)
-
-    def test_2d_negative_total_rejected(self):
-        with pytest.raises(ValueError):
-            project_simplex(np.zeros((2, 3)), np.array([1.0, -1.0]))
-
-    def test_2d_rows_match_scalar_calls(self):
-        v = np.array([[0.9, -0.2, 0.4], [100.0, 0.0, 0.0], [3.0, -1.0, 0.5]])
-        totals = np.array([1.0, 1.0, 0.0])
-        out = project_simplex(v, totals)
-        for r in range(v.shape[0]):
-            assert np.array_equal(out[r], project_simplex(v[r], totals[r]))
-
-    def test_2d_scalar_total_broadcasts(self):
-        v = np.array([[0.2, 0.3], [5.0, -5.0]])
-        out = project_simplex(v, 2.0)
-        for r in range(v.shape[0]):
-            assert np.array_equal(out[r], project_simplex(v[r], 2.0))
-
-    @given(
-        v=hnp.arrays(
-            dtype=float,
-            shape=st.tuples(st.integers(1, 8), st.integers(1, 10)),
-            elements=finite_floats,
-        ),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_2d_rows_bit_identical_to_scalar(self, v, seed):
-        """Every batched row reproduces the 1-D algorithm exactly."""
-        rng = np.random.default_rng(seed)
-        totals = rng.uniform(0.0, 20.0, size=v.shape[0])
-        out = project_simplex(v, totals)
-        assert out.shape == v.shape
-        for r in range(v.shape[0]):
-            assert np.array_equal(out[r], project_simplex(v[r], totals[r]))
+        with pytest.raises(ValueError, match="1-d"):
+            project_simplex(np.zeros((2, 3)), 1.0)
 
     @given(v=vectors(), total=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=150, deadline=None)

@@ -31,7 +31,7 @@ from repro.core.solution import Allocation
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine, create_solver
 from repro.engine.warm import CentralizedWarmSlotSolver
-from repro.obs import MetricsRegistry, load_run
+from repro.obs import MetricsRegistry, SpanTracer, load_run
 from repro.obs.certify import certify_structured_solution
 from repro.optim.ipqp import solve_qp
 from repro.optim.kkt import (
@@ -233,6 +233,36 @@ class TestEngineWarmLane:
         assert all("warm_mechanism" in s for s in warm_slots)
 
 
+    def test_warm_lane_ships_worker_observability(self, chain_problems):
+        plain = HorizonEngine("centralized-warm").run(
+            chain_problems, warm_start=True
+        )
+        tracer = SpanTracer()
+        engine = HorizonEngine(
+            "centralized-warm", tracer=tracer, metrics=MetricsRegistry()
+        )
+        observed = engine.run(chain_problems, warm_start=True)
+        (run_span,) = tracer.by_name("engine.run")
+        slot_spans = tracer.by_name("worker.slot")
+        assert len(slot_spans) == len(chain_problems)
+        assert all(s.parent_id == run_span.span_id for s in slot_spans)
+        # Observability on must not move the chain's arithmetic.
+        for a, b in zip(plain, observed):
+            assert a.worker_report is None
+            assert b.worker_report is not None
+            assert b.result.ufc == a.result.ufc
+            assert b.result.iterations == a.result.iterations
+            assert (
+                b.result.extras.get("warm_mechanism")
+                == a.result.extras.get("warm_mechanism")
+            )
+            for name in ("lam", "mu", "nu"):
+                assert np.array_equal(
+                    getattr(b.result.allocation, name),
+                    getattr(a.result.allocation, name),
+                )
+
+
 class TestIncumbentEarlyExit:
     """Tiny perturbations re-certify the incumbent instead of solving."""
 
@@ -324,6 +354,17 @@ class TestWarmThroughClients:
             assert b.result.iterations == a.result.iterations
             assert (a.result.allocation.lam == b.result.allocation.lam).all()
             assert a.result.ufc == b.result.ufc
+
+    def test_sync_client_chain_compiles_once(self, chain_problems):
+        # A synchronous client runs the chain as one chunk, so one
+        # compile cache spans it exactly as with client=None.
+        engine = HorizonEngine("centralized-warm", client="in-process")
+        outcomes = engine.run(chain_problems, warm_start=True)
+        summary = engine.last_summary
+        assert summary.executor == "in-process-warm"
+        assert summary.cache_misses == 1
+        assert outcomes[0].telemetry.cache_hit is False
+        assert all(o.telemetry.cache_hit for o in outcomes[1:])
 
     def test_store_rejects_warm_chain(self, chain_problems, tmp_path):
         engine = HorizonEngine(
